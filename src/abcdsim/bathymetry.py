@@ -51,7 +51,7 @@ class Bathymetry:
     """Separable bottom h = amplitude * tau(t) * X(x).
 
     tau_fn(t) returns (tau, tau', tau''); profile_fn(x) returns
-    (X, X', X'') as arrays.  Spatial profiles are cached per grid.
+    (X, X', X'') as arrays.  Spatial profiles are cached per grid (L, N).
     """
 
     def __init__(self, preset: str, amplitude: float, tau_fn, profile_fn):
@@ -59,14 +59,14 @@ class Bathymetry:
         self.amplitude = float(amplitude)
         self._tau_fn = tau_fn
         self._profile_fn = profile_fn
-        self._profile_cache: dict[int, tuple] = {}
+        self._profile_cache: dict[tuple, tuple] = {}
 
     @property
     def is_flat(self) -> bool:
         return self.amplitude == 0.0
 
     def _profiles(self, grid: Grid):
-        key = id(grid)
+        key = (grid.L, grid.N)
         if key not in self._profile_cache:
             X, dX, d2X = self._profile_fn(grid.x)
             self._profile_cache[key] = (np.asarray(X, float), np.asarray(dX, float), np.asarray(d2X, float))

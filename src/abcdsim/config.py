@@ -109,7 +109,6 @@ class DiagSpec:
     alpha: float = 0.0
     weight_mode: str = "fixed"
     fixed_lambda: float = 10.0
-    checkpoint_every: int = 0
     residual_threshold: float = 1e-6
 
 
@@ -162,6 +161,7 @@ class _Section:
         self.name = name
         self.present = cp.has_section(name)
         self._cp = cp
+        self.read: set = set()  # every key asked for, present or not
 
     def require(self):
         if not self.present:
@@ -169,6 +169,7 @@ class _Section:
         return self
 
     def _raw(self, key: str):
+        self.read.add(key)
         if not self.present or not self._cp.has_option(self.name, key):
             return None
         return self._cp.get(self.name, key)
@@ -320,7 +321,6 @@ def _parse_diag(sec: _Section, kind: str) -> DiagSpec:
         alpha=sec.floatval("alpha", default=0.0),
         weight_mode=mode,
         fixed_lambda=sec.floatval("fixed_lambda", default=10.0),
-        checkpoint_every=sec.intval("checkpoint_every", default=0),
         residual_threshold=sec.floatval("residual_threshold", default=1e-6),
     )
 
@@ -354,25 +354,38 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
-    exp = _Section(cp, "experiment").require()
+    sections: dict = {}
+
+    def section(name: str) -> _Section:
+        sections[name] = _Section(cp, name)
+        return sections[name]
+
+    exp = section("experiment").require()
     kind = exp.choice("kind", KINDS, required=True)
     output_dir = exp.need("output_dir")
     seed = exp.intval("seed", default=0)
 
     ec = dict(kind=kind, output_dir=output_dir, seed=seed)
     if kind in ("identity-suite", "decay-run"):
-        ec["params"] = _parse_params(_Section(cp, "params"))
-        ec["grid"] = _parse_grid(_Section(cp, "grid"))
-        ec["bathy"] = _parse_bathy(_Section(cp, "bathymetry"))
-        ec["initial"] = _parse_initial(_Section(cp, "initial"))
-        ec["time"] = _parse_time(_Section(cp, "time"))
-        ec["diag"] = _parse_diag(_Section(cp, "diagnostics"), kind)
+        ec["params"] = _parse_params(section("params"))
+        ec["grid"] = _parse_grid(section("grid"))
+        ec["bathy"] = _parse_bathy(section("bathymetry"))
+        ec["initial"] = _parse_initial(section("initial"))
+        ec["time"] = _parse_time(section("time"))
+        ec["diag"] = _parse_diag(section("diagnostics"), kind)
     elif kind == "region-map":
-        ec["region"] = _parse_region(_Section(cp, "region"))
+        ec["region"] = _parse_region(section("region"))
     else:  # hypothesis-audit
-        ec["grid"] = _parse_grid(_Section(cp, "grid"))
-        ec["bathy"] = _parse_bathy(_Section(cp, "bathymetry"))
-        ec["audit"] = _parse_audit(_Section(cp, "audit"))
+        ec["grid"] = _parse_grid(section("grid"))
+        ec["bathy"] = _parse_bathy(section("bathymetry"))
+        ec["audit"] = _parse_audit(section("audit"))
+    # a key nobody reads would be silently ignored (a typo keeps the default)
+    for name in cp.sections():
+        if name not in sections:
+            raise ConfigError(f'unknown section "[{name}]" for kind "{kind}"')
+        for key in cp.options(name):
+            if key not in sections[name].read:
+                raise ConfigError(f'unknown key "{key}" in [{name}]')
     return ExperimentConfig(**ec)
 
 
@@ -442,8 +455,7 @@ def normal_form(cfg: ExperimentConfig) -> str:
         d = cfg.diag
         _emit(lines, "diagnostics", [
             ("alpha", d.alpha), ("weight_mode", d.weight_mode),
-            ("fixed_lambda", d.fixed_lambda), ("checkpoint_every", d.checkpoint_every),
-            ("residual_threshold", d.residual_threshold),
+            ("fixed_lambda", d.fixed_lambda), ("residual_threshold", d.residual_threshold),
         ])
     if cfg.region is not None:
         r = cfg.region

@@ -21,12 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .bathymetry import Bathymetry, BathymetrySamples
+from .bathymetry import Bathymetry, BathymetrySamples, flat_bottom
 from .classifier import QuadCoeffs, quadratic_coeffs
 from .grid import Grid
 from .params import AbcdParams
 from .solver import State, state_h1_norm
-from .weights import T_MIN, WeightSet, scheduled_weights, weight_set, window_scale
+from .weights import T_MIN, WeightSet, scheduled_weights, weight_set
 
 __all__ = [
     "hamiltonian_h",
@@ -61,15 +61,21 @@ __all__ = [
 
 
 class _Snap:
-    """Spectral scratch shared by every functional at one snapshot."""
+    """Spectral scratch shared by every functional at one snapshot.
+
+    Fields are computed on first use and cached.  Over a flat bottom the
+    fields built from h are preset to zeros, which spares their transforms.
+    """
 
     def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams):
-        self.s = state
         self.bs = bs
         self.p = p
         self.g = state.grid
         self.u = state.u
         self.eta = state.eta
+        if bs.zero:
+            bottom = ("p_uh", "T_uh", "Tdx_uh", "w1", "T_w1", "Tdx_w1", "T_dth", "T_q", "T_q2")
+            self.__dict__.update(dict.fromkeys(bottom, np.zeros(self.g.N)))
 
     # physical derivatives -------------------------------------------------
     @cached_property
@@ -87,6 +93,21 @@ class _Snap:
     @cached_property
     def d2eta(self):
         return self.g.deriv(self.eta, 2)
+
+    # densities shared by several functionals ------------------------------
+    @cached_property
+    def energy_density(self):
+        p = self.p
+        return (-p.a * self.du**2 - p.c * self.deta**2 + self.u**2 + self.eta**2
+                + self.u**2 * (self.eta + self.bs.h))
+
+    @cached_property
+    def momentum_density(self):
+        return self.u * self.eta + self.du * self.deta
+
+    @cached_property
+    def h1_density(self):
+        return self.u**2 + self.eta**2 + self.du**2 + self.deta**2
 
     # canonical variables --------------------------------------------------
     @cached_property
@@ -132,8 +153,6 @@ class _Snap:
 
     @cached_property
     def p_uh(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.mult(self.u, self.bs.h)
 
     @cached_property
@@ -146,8 +165,6 @@ class _Snap:
 
     @cached_property
     def T_uh(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.helmholtz_inverse(self.p_uh)
 
     @cached_property
@@ -160,47 +177,33 @@ class _Snap:
 
     @cached_property
     def Tdx_uh(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.deriv(self.T_uh)
 
     # bottom forcing combinations ------------------------------------------
     @cached_property
     def w1(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.p.a1 * self.bs.dt_dxx_h - self.bs.dt_h
 
     @cached_property
     def T_w1(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.helmholtz_inverse(self.w1)
 
     @cached_property
     def Tdx_w1(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.deriv(self.T_w1)
 
     @cached_property
     def T_dth(self):
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.helmholtz_inverse(self.bs.dt_h)
 
     @cached_property
     def T_q(self):
         """T applied to dtt dx h."""
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.helmholtz_inverse(self.bs.dtt_dx_h)
 
     @cached_property
     def T_q2(self):
         """T applied to dtt dxx h."""
-        if self.bs.zero:
-            return np.zeros(self.g.N)
         return self.g.helmholtz_inverse(self.bs.dtt_dxx_h)
 
     # grouped fluxes for the localized energy ------------------------------
@@ -215,30 +218,29 @@ class _Snap:
         return self.g.helmholtz_inverse(self.p.c * self.d2eta + self.eta + 0.5 * self.p_uu)
 
 
-def _snapof(state, bs, p, snap=None) -> _Snap:
-    return snap if snap is not None else _Snap(state, bs, p)
+def _zero_samples(g: Grid) -> BathymetrySamples:
+    return flat_bottom().sample(g, 0.0)
+
+
+def _snapof(s: State, snap: _Snap | None, bs=None, p=None) -> _Snap:
+    """The caller's scratch, or a fresh one (over a flat bottom if bs is not given)."""
+    if snap is not None:
+        return snap
+    return _Snap(s, _zero_samples(s.grid) if bs is None else bs, p)
 
 
 # -- global functionals --------------------------------------------------
 
 def hamiltonian_h(s: State, bs: BathymetrySamples, p: AbcdParams, snap: _Snap | None = None) -> float:
     """H_h = 1/2 int(-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2 (eta + h))."""
-    sp = _snapof(s, bs, p, snap)
-    depth = sp.eta if bs.zero else sp.eta + bs.h
-    integrand = (
-        -p.a * sp.du**2 - p.c * sp.deta**2 + sp.u**2 + sp.eta**2 + sp.u**2 * depth
-    )
-    return 0.5 * s.grid.integrate(integrand)
+    return 0.5 * s.grid.integrate(_snapof(s, snap, bs, p).energy_density)
 
 
 def hamiltonian_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams,
                            snap: _Snap | None = None) -> dict:
     """The six displayed lines of the forced energy law, term by term."""
-    sp = _snapof(s, bs, p, snap)
+    sp = _snapof(s, snap, bs, p)
     gi = s.grid.integrate
-    if bs.zero:
-        keys = ["u_qdxh", "u_T_qdxh", "eta_dth", "deta_dtdxh", "mix_T_dth", "mix_dth", "u2_dth"]
-        return {k: 0.0 for k in keys}
     mix = (1.0 + p.c) * sp.eta + 0.5 * sp.u**2
     return {
         "u_qdxh": -p.a * p.c1 * gi(sp.u * bs.dtt_dx_h),
@@ -263,12 +265,9 @@ def hamiltonian_rate_rhs_alt(s: State, bs: BathymetrySamples, p: AbcdParams,
     agrees with hamiltonian_rate_rhs up to the quadrature residue of a
     perfect derivative, which is tiny for localized bottoms.
     """
-    sp = _snapof(s, bs, p, snap)
-    if bs.zero:
-        return 0.0
-    gi = s.grid.integrate
+    sp = _snapof(s, snap, bs, p)
     t = hamiltonian_rate_terms(s, bs, p, sp)
-    line3 = p.c * gi(sp.eta * (bs.dt_h - p.a1 * bs.dt_dxx_h))
+    line3 = p.c * s.grid.integrate(sp.eta * (bs.dt_h - p.a1 * bs.dt_dxx_h))
     return float(
         t["u_qdxh"] + t["u_T_qdxh"] + line3 + t["mix_T_dth"] + t["mix_dth"] + t["u2_dth"]
     )
@@ -276,26 +275,19 @@ def hamiltonian_rate_rhs_alt(s: State, bs: BathymetrySamples, p: AbcdParams,
 
 def momentum(s: State, snap: _Snap | None = None) -> float:
     """P = int(u eta + dx u dx eta), conserved over a flat bottom."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
-    return s.grid.integrate(sp.u * sp.eta + sp.du * sp.deta)
-
-
-def _zero_samples(g: Grid) -> BathymetrySamples:
-    z = np.zeros(g.N)
-    return BathymetrySamples(g, 0.0, z, z, z, z, z, z, z, z, zero=True)
+    return s.grid.integrate(_snapof(s, snap).momentum_density)
 
 
 # -- virial functionals --------------------------------------------------
 
 def virial_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """I = int phi (u eta + dx u dx eta)."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
-    return s.grid.integrate(w.phi * (sp.u * sp.eta + sp.du * sp.deta))
+    return s.grid.integrate(w.phi * _snapof(s, snap).momentum_density)
 
 
 def virial_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """J = int phi' eta dx u."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
+    sp = _snapof(s, snap)
     return s.grid.integrate(w.dphi * sp.eta * sp.du)
 
 
@@ -303,24 +295,23 @@ def moving_weight_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi)(u eta + dx u dx eta)."""
     if w.dlam == 0.0:
         return 0.0
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
-    return s.grid.integrate(w.dt_phi * (sp.u * sp.eta + sp.du * sp.deta))
+    return s.grid.integrate(w.dt_phi * _snapof(s, snap).momentum_density)
 
 
 def moving_weight_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi') eta dx u."""
     if w.dlam == 0.0:
         return 0.0
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
+    sp = _snapof(s, snap)
     return s.grid.integrate(w.dt_dphi * sp.eta * sp.du)
 
 
 def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the I rate law (static-weight part)."""
-    sp = _snapof(s, bs, p, snap)
+    sp = _snapof(s, snap, bs, p)
     gi = s.grid.integrate
-    t = {
+    return {
         "du_sq": -0.5 * p.a * gi(w.dphi * sp.du**2),
         "deta_sq": -0.5 * p.c * gi(w.dphi * sp.deta**2),
         "u_sq": -(p.a + 0.5) * gi(w.dphi * sp.u**2),
@@ -330,18 +321,13 @@ def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: Weigh
         "u2_eta": -0.5 * gi(w.dphi * sp.u**2 * sp.eta),
         "u_Tue": gi(w.dphi * sp.u * sp.T_ue),
         "eta_Tuu": 0.5 * gi(w.dphi * sp.eta * sp.T_uu),
+        "h_flux": -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2),
+        "u_Tuh": gi(w.dphi * sp.u * sp.T_uh),
+        "eta_Tq2": -p.c1 * gi(w.dphi * sp.eta * sp.T_q2),
+        "u_Tdxw1": -gi(w.dphi * sp.u * sp.Tdx_w1),
+        "eta_q": p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h),
+        "u_w1": gi(w.phi * sp.u * sp.w1),
     }
-    if bs.zero:
-        for k in ("h_flux", "u_Tuh", "eta_Tq2", "u_Tdxw1", "eta_q", "u_w1"):
-            t[k] = 0.0
-    else:
-        t["h_flux"] = -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2)
-        t["u_Tuh"] = gi(w.dphi * sp.u * sp.T_uh)
-        t["eta_Tq2"] = -p.c1 * gi(w.dphi * sp.eta * sp.T_q2)
-        t["u_Tdxw1"] = -gi(w.dphi * sp.u * sp.Tdx_w1)
-        t["eta_q"] = p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h)
-        t["u_w1"] = gi(w.phi * sp.u * sp.w1)
-    return t
 
 
 def virial_rate_I_rhs(s, bs, p, w, snap=None) -> float:
@@ -351,9 +337,9 @@ def virial_rate_I_rhs(s, bs, p, w, snap=None) -> float:
 def virial_rate_J_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the J rate law (static-weight part)."""
-    sp = _snapof(s, bs, p, snap)
+    sp = _snapof(s, snap, bs, p)
     gi = s.grid.integrate
-    t = {
+    return {
         "eta_sq": (1.0 + p.c) * gi(w.dphi * sp.eta**2),
         "deta_sq": -p.c * gi(w.dphi * sp.deta**2),
         "u_sq": -(1.0 + p.a) * gi(w.dphi * sp.u**2),
@@ -366,17 +352,12 @@ def virial_rate_J_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: Weigh
         "eta_Tuu": -0.5 * gi(w.dphi * sp.eta * sp.T_uu),
         "u_Tue": gi(w.dphi * sp.u * sp.T_ue),
         "u_Tdxue": gi(w.d2phi * sp.u * sp.Tdx_ue),
+        "u2_h": -gi(w.dphi * sp.u**2 * bs.h),
+        "u_Tuh": gi(w.dphi * sp.u * sp.T_uh),
+        "u_Tdxuh": gi(w.d2phi * sp.u * sp.Tdx_uh),
+        "du_Tw1": gi(w.dphi * sp.du * sp.T_w1),
+        "eta_Tq2": p.c1 * gi(w.dphi * sp.eta * sp.T_q2),
     }
-    if bs.zero:
-        for k in ("u2_h", "u_Tuh", "u_Tdxuh", "du_Tw1", "eta_Tq2"):
-            t[k] = 0.0
-    else:
-        t["u2_h"] = -gi(w.dphi * sp.u**2 * bs.h)
-        t["u_Tuh"] = gi(w.dphi * sp.u * sp.T_uh)
-        t["u_Tdxuh"] = gi(w.d2phi * sp.u * sp.Tdx_uh)
-        t["du_Tw1"] = gi(w.dphi * sp.du * sp.T_w1)
-        t["eta_Tq2"] = p.c1 * gi(w.dphi * sp.eta * sp.T_q2)
-    return t
 
 
 def virial_rate_J_rhs(s, bs, p, w, snap=None) -> float:
@@ -385,14 +366,8 @@ def virial_rate_J_rhs(s, bs, p, w, snap=None) -> float:
 
 # -- decomposition of the mixed virial rate ------------------------------
 
-def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
-                              alpha: float, w: WeightSet,
-                              snap: _Snap | None = None) -> dict:
-    """Regrouped rate of I + alpha J: leading quadratic part Q, small
-    linear part SQ, nonlinear part NQ, bottom part NH, plus the moving
-    window corrections.  Q + SQ + NQ + NH equals the I rate plus alpha
-    times the J rate identically."""
-    sp = _snapof(s, bs, p, snap)
+def _grouped_virial_rate(s, bs, p, alpha, w, sp: _Snap) -> dict:
+    """Q, SQ, NQ and NH of virial_rate_decomposition, without the moving-window parts."""
     gi = s.grid.integrate
     a, c = p.a, p.c
 
@@ -411,25 +386,30 @@ def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
         + (alpha + 1.0) * gi(w.dphi * sp.u * sp.T_ue)
         + alpha * gi(w.d2phi * sp.u * sp.Tdx_ue)
     )
-    if bs.zero:
-        nh = 0.0
-    else:
-        nh = (
-            -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2)
-            + (1.0 + alpha) * gi(w.dphi * sp.u * sp.T_uh)
-            - alpha * gi(w.dphi * sp.u**2 * bs.h)
-            + alpha * gi(w.d2phi * sp.u * sp.Tdx_uh)
-            + (alpha - 1.0) * p.c1 * gi(w.dphi * sp.eta * sp.T_q2)
-            - gi(w.dphi * sp.u * sp.Tdx_w1)
-            + alpha * gi(w.dphi * sp.du * sp.T_w1)
-            + p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h)
-            + gi(w.phi * sp.u * sp.w1)
-        )
+    nh = (
+        -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2)
+        + (1.0 + alpha) * gi(w.dphi * sp.u * sp.T_uh)
+        - alpha * gi(w.dphi * sp.u**2 * bs.h)
+        + alpha * gi(w.d2phi * sp.u * sp.Tdx_uh)
+        + (alpha - 1.0) * p.c1 * gi(w.dphi * sp.eta * sp.T_q2)
+        - gi(w.dphi * sp.u * sp.Tdx_w1)
+        + alpha * gi(w.dphi * sp.du * sp.T_w1)
+        + p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h)
+        + gi(w.phi * sp.u * sp.w1)
+    )
+    return {"Q": float(q), "SQ": float(sq), "NQ": float(nq), "NH": float(nh)}
+
+
+def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
+                              alpha: float, w: WeightSet,
+                              snap: _Snap | None = None) -> dict:
+    """Regrouped rate of I + alpha J: leading quadratic part Q, small
+    linear part SQ, nonlinear part NQ, bottom part NH, plus the moving
+    window corrections.  Q + SQ + NQ + NH equals the I rate plus alpha
+    times the J rate identically."""
+    sp = _snapof(s, snap, bs, p)
     return {
-        "Q": float(q),
-        "SQ": float(sq),
-        "NQ": float(nq),
-        "NH": float(nh),
+        **_grouped_virial_rate(s, bs, p, alpha, w, sp),
         "movingI": moving_weight_I(s, w, sp),
         "movingJ": alpha * moving_weight_J(s, w, sp),
     }
@@ -438,7 +418,7 @@ def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
 def quadratic_form_fg(s: State, qc: QuadCoeffs, w: WeightSet,
                       snap: _Snap | None = None) -> float:
     """The leading quadratic part rewritten in canonical variables."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
+    sp = _snapof(s, snap)
     gi = s.grid.integrate
     main = gi(
         w.dphi
@@ -454,7 +434,7 @@ def quadratic_form_fg(s: State, qc: QuadCoeffs, w: WeightSet,
 def quadratic_form_scale(s: State, qc: QuadCoeffs, w: WeightSet,
                          snap: _Snap | None = None) -> float:
     """Sum of absolute contributions, a robust relative-error scale."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
+    sp = _snapof(s, snap)
     gi = s.grid.integrate
     pieces = [
         abs(qc.A1) * gi(w.dphi * sp.cf**2), abs(qc.A2) * gi(w.dphi * sp.cf1**2),
@@ -473,7 +453,7 @@ def canonical_identity_residuals(s: State, w: WeightSet, snap: _Snap | None = No
     First: int phi' u^2 = int phi' (f^2 + 2 f'^2 + f''^2) - int phi''' f^2.
     Second: int phi' u T u = int phi' (f^2 + f'^2) - 1/2 int phi''' f^2.
     """
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
+    sp = _snapof(s, snap)
     gi = s.grid.integrate
     lhs1 = gi(w.dphi * sp.u**2)
     rhs1 = gi(w.dphi * (sp.cf**2 + 2.0 * sp.cf1**2 + sp.cf2**2)) - gi(w.d3phi * sp.cf**2)
@@ -494,25 +474,22 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
         h_units    = the bottom-norm and t^{-3/2} unit terms (multiply C)
     so that bound(C, eps) = quad_delta + C * (eps * u2_weight + h_units).
     """
-    sp = snap if snap is not None else _Snap(s, bs, None)
+    sp = _snapof(s, snap, bs)
     g = s.grid
     gi = g.integrate
     x0 = gi(w.dphi * sp.u**2)
     quad = 4.0 * delta * (
         x0 + gi(w.dphi * sp.du**2) + gi(w.dphi * sp.eta**2) + gi(w.dphi * sp.deta**2)
     )
-    if bs.zero:
-        h_units = t ** (-1.5)
-    else:
-        n_dth = g.l2_norm(bs.dt_h)
-        n_dtdxh = g.l2_norm(bs.dt_dx_h)
-        n_dtth = g.l2_norm(bs.dtt_h)
-        h_units = (
-            n_dth**2 + n_dtdxh**2 + n_dtth**2
-            + float(np.max(np.abs(bs.dx_h)))
-            + n_dtth + n_dtdxh
-            + t ** (-1.5)
-        )
+    n_dth = g.l2_norm(bs.dt_h)
+    n_dtdxh = g.l2_norm(bs.dt_dx_h)
+    n_dtth = g.l2_norm(bs.dtt_h)
+    h_units = (
+        n_dth**2 + n_dtdxh**2 + n_dtth**2
+        + float(np.max(np.abs(bs.dx_h)))
+        + n_dtth + n_dtdxh
+        + t ** (-1.5)
+    )
     return float(quad), float(x0), float(h_units)
 
 
@@ -521,17 +498,14 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
 def local_energy(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                  snap: _Snap | None = None) -> float:
     """E_loc = 1/2 int psi (-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2(eta+h))."""
-    sp = _snapof(s, bs, p, snap)
-    depth = sp.eta if bs.zero else sp.eta + bs.h
-    integrand = -p.a * sp.du**2 - p.c * sp.deta**2 + sp.u**2 + sp.eta**2 + sp.u**2 * depth
-    return 0.5 * s.grid.integrate(w.psi * integrand)
+    return 0.5 * s.grid.integrate(w.psi * _snapof(s, snap, bs, p).energy_density)
 
 
 def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                             snap: _Snap | None = None) -> dict:
     """Rate of the localized energy: main line, moving-window part SNL0,
     commutator part SNL1, bottom part SNLh."""
-    sp = _snapof(s, bs, p, snap)
+    sp = _snapof(s, snap, bs, p)
     gi = s.grid.integrate
     a, c = p.a, p.c
 
@@ -542,13 +516,7 @@ def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: W
         + a * c * gi(w.dpsi * sp.cf3 * sp.cg3)
     )
 
-    if w.dlam == 0.0:
-        snl0 = 0.0
-    else:
-        depth = sp.eta if bs.zero else sp.eta + bs.h
-        snl0 = 0.5 * gi(
-            w.dt_psi * (-a * sp.du**2 - c * sp.deta**2 + sp.u**2 + sp.eta**2 + sp.u**2 * depth)
-        )
+    snl0 = 0.0 if w.dlam == 0.0 else 0.5 * gi(w.dt_psi * sp.energy_density)
 
     T_ueh = sp.T_ue + sp.T_uh
     Tdx_ueh = sp.Tdx_ue + sp.Tdx_uh
@@ -574,9 +542,10 @@ def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: W
         + 0.5 * a * gi(dps_du * sp.T_uu)
         + c * gi(dps_deta * T_ueh)
     )
-    if not bs.zero:
-        snl1 += a * p.c1 * gi(w.dpsi * sp.du * sp.T_q) + c * gi(w.dpsi * sp.deta * sp.T_w1)
+    snl1 += a * p.c1 * gi(w.dpsi * sp.du * sp.T_q) + c * gi(w.dpsi * sp.deta * sp.T_w1)
 
+    # F and G cost four transforms and meet only bottom factors here, so
+    # over a flat bottom SNLh is 0 without them
     if bs.zero:
         snlh = 0.0
     else:
@@ -600,16 +569,28 @@ def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
 
 def windowed_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """int sech^2(x/lam) (u^2 + eta^2 + (dx u)^2 + (dx eta)^2)."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
     sech2 = 1.0 / np.cosh(s.grid.x / lam) ** 2
-    return s.grid.integrate(sech2 * (sp.u**2 + sp.eta**2 + sp.du**2 + sp.deta**2))
+    return s.grid.integrate(sech2 * _snapof(s, snap).h1_density)
 
 
 def interval_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """Same local H1 density integrated over the plain interval |x| <= lam."""
-    sp = snap if snap is not None else _Snap(s, _zero_samples(s.grid), None)
     mask = (np.abs(s.grid.x) <= lam).astype(float)
-    return s.grid.integrate(mask * (sp.u**2 + sp.eta**2 + sp.du**2 + sp.deta**2))
+    return s.grid.integrate(mask * _snapof(s, snap).h1_density)
+
+
+class _RunningTrapezoid:
+    """Cumulative trapezoid of a series fed one sample at a time, in time order."""
+
+    def __init__(self):
+        self.total, self._prev = 0.0, None
+
+    def add(self, t: float, value: float) -> float:
+        if self._prev is not None:
+            t0, v0 = self._prev
+            self.total += 0.5 * (value + v0) * (t - t0)
+        self._prev = (t, value)
+        return self.total
 
 
 @dataclass
@@ -632,23 +613,20 @@ def decay_metrics(states: list, alpha: float = 0.0) -> DecaySeries:
         raise ValueError("trajectory too short for decay metrics (need at least 2 snapshots)")
     if states[0].t < T_MIN:
         raise ValueError(f"decay metrics need t >= {T_MIN}, trajectory starts at {states[0].t}")
-    ts, lams, wins, ints, hcals = [], [], [], [], []
+    ts, lams, wins, ints, runs, hcals = [], [], [], [], [], []
+    running = _RunningTrapezoid()
     for st in states:
-        lam = window_scale(st.t)
-        sp = _Snap(st, _zero_samples(st.grid), None)
+        sp = _snapof(st, None)
         w = scheduled_weights(st.grid, st.t)
         ts.append(st.t)
-        lams.append(lam)
-        wins.append(windowed_h1(st, lam, sp))
-        ints.append(interval_h1(st, lam, sp))
+        lams.append(w.lam)
+        wins.append(windowed_h1(st, w.lam, sp))
+        ints.append(interval_h1(st, w.lam, sp))
+        runs.append(running.add(st.t, wins[-1] / w.lam))
         hcals.append(virial_I(st, w, sp) + alpha * virial_J(st, w, sp))
-    t = np.array(ts)
-    lam = np.array(lams)
-    win = np.array(wins)
-    dens = win / lam
-    running = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
-    return DecaySeries(t=t, lam=lam, windowed=win, interval=np.array(ints),
-                       running_integral=running, hcal=np.array(hcals))
+    return DecaySeries(t=np.array(ts), lam=np.array(lams), windowed=np.array(wins),
+                       interval=np.array(ints), running_integral=np.array(runs),
+                       hcal=np.array(hcals))
 
 
 # -- finite differences along snapshot series ----------------------------
@@ -664,9 +642,6 @@ def fd5_derivative(series, dt: float) -> np.ndarray:
 
 # -- per-snapshot record and the engine ----------------------------------
 
-_NAN = float("nan")
-
-
 @dataclass
 class DiagnosticsRecord:
     """One row of diagnostics.  Window-scale fields are NaN while the
@@ -677,27 +652,27 @@ class DiagnosticsRecord:
     hamiltonian: float
     hamiltonian_rate: float
     momentum: float
-    virial_i: float = _NAN
-    virial_j: float = _NAN
-    virial_mix: float = _NAN
-    virial_i_rate: float = _NAN
-    virial_j_rate: float = _NAN
-    moving_i: float = _NAN
-    moving_j: float = _NAN
-    q_part: float = _NAN
-    sq_part: float = _NAN
-    nq_part: float = _NAN
-    nh_part: float = _NAN
-    decomposition_residual: float = _NAN
-    q_canonical: float = _NAN
-    change_var_residual: float = _NAN
-    canon_l2_residual: float = _NAN
-    canon_nonlocal_residual: float = _NAN
-    local_energy: float = _NAN
-    local_energy_rate: float = _NAN
-    windowed_h1: float = _NAN
-    interval_h1: float = _NAN
-    running_decay_integral: float = _NAN
+    virial_i: float = math.nan
+    virial_j: float = math.nan
+    virial_mix: float = math.nan
+    virial_i_rate: float = math.nan
+    virial_j_rate: float = math.nan
+    moving_i: float = math.nan
+    moving_j: float = math.nan
+    q_part: float = math.nan
+    sq_part: float = math.nan
+    nq_part: float = math.nan
+    nh_part: float = math.nan
+    decomposition_residual: float = math.nan
+    q_canonical: float = math.nan
+    change_var_residual: float = math.nan
+    canon_l2_residual: float = math.nan
+    canon_nonlocal_residual: float = math.nan
+    local_energy: float = math.nan
+    local_energy_rate: float = math.nan
+    windowed_h1: float = math.nan
+    interval_h1: float = math.nan
+    running_decay_integral: float = math.nan
 
     @classmethod
     def field_names(cls) -> list:
@@ -728,9 +703,7 @@ class DiagnosticsEngine:
         self.fixed_lambda = fixed_lambda
         self.qc = quadratic_coeffs(params.a, params.c, alpha)
         self.records: list[DiagnosticsRecord] = []
-        self._running = 0.0
-        self._prev_t = None
-        self._prev_dens = None
+        self._decay = _RunningTrapezoid()
 
     def _weights(self, grid: Grid, t: float):
         if self.weight_mode == "fixed":
@@ -752,23 +725,24 @@ class DiagnosticsEngine:
         )
         w = self._weights(state.grid, state.t)
         if w is not None:
+            alpha = self.alpha
             rec.virial_i = virial_I(state, w, sp)
             rec.virial_j = virial_J(state, w, sp)
-            rec.virial_mix = rec.virial_i + self.alpha * rec.virial_j
-            rec.virial_i_rate = virial_rate_I_rhs(state, bs, p, w, sp) + moving_weight_I(state, w, sp)
-            rec.virial_j_rate = virial_rate_J_rhs(state, bs, p, w, sp) + moving_weight_J(state, w, sp)
+            rec.virial_mix = rec.virial_i + alpha * rec.virial_j
+            terms_i = virial_rate_I_terms(state, bs, p, w, sp)
+            terms_j = virial_rate_J_terms(state, bs, p, w, sp)
+            rate_i, rate_j = float(sum(terms_i.values())), float(sum(terms_j.values()))
             rec.moving_i = moving_weight_I(state, w, sp)
             rec.moving_j = moving_weight_J(state, w, sp)
-            dec = virial_rate_decomposition(state, bs, p, self.alpha, w, sp)
+            rec.virial_i_rate = rate_i + rec.moving_i
+            rec.virial_j_rate = rate_j + rec.moving_j
+            dec = _grouped_virial_rate(state, bs, p, alpha, w, sp)
             rec.q_part, rec.sq_part = dec["Q"], dec["SQ"]
             rec.nq_part, rec.nh_part = dec["NQ"], dec["NH"]
             grouped = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"]
-            direct = (virial_rate_I_rhs(state, bs, p, w, sp)
-                      + self.alpha * virial_rate_J_rhs(state, bs, p, w, sp))
-            terms_i = virial_rate_I_terms(state, bs, p, w, sp)
-            terms_j = virial_rate_J_terms(state, bs, p, w, sp)
+            direct = rate_i + alpha * rate_j
             term_scale = sum(abs(v) for v in terms_i.values()) + sum(
-                abs(self.alpha * v) for v in terms_j.values()
+                abs(alpha * v) for v in terms_j.values()
             )
             rec.decomposition_residual = abs(grouped - direct) / max(term_scale, 1e-30)
             rec.q_canonical = quadratic_form_fg(state, self.qc, w, sp)
@@ -777,15 +751,10 @@ class DiagnosticsEngine:
             rec.canon_l2_residual, rec.canon_nonlocal_residual = canonical_identity_residuals(state, w, sp)
             rec.local_energy = local_energy(state, bs, p, w, sp)
             rec.local_energy_rate = local_energy_rate_rhs(state, bs, p, w, sp)
-            lam = w.lam if math.isfinite(w.lam) else None
-            if lam is not None:
-                rec.windowed_h1 = windowed_h1(state, lam, sp)
-                rec.interval_h1 = interval_h1(state, lam, sp)
-                dens = rec.windowed_h1 / lam
-                if self._prev_t is not None:
-                    self._running += 0.5 * (dens + self._prev_dens) * (state.t - self._prev_t)
-                self._prev_t, self._prev_dens = state.t, dens
-                rec.running_decay_integral = self._running
+            if math.isfinite(w.lam):
+                rec.windowed_h1 = windowed_h1(state, w.lam, sp)
+                rec.interval_h1 = interval_h1(state, w.lam, sp)
+                rec.running_decay_integral = self._decay.add(state.t, rec.windowed_h1 / w.lam)
         self.records.append(rec)
         return rec
 
@@ -795,12 +764,9 @@ class DiagnosticsEngine:
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 
-    RESIDUAL_COLUMNS = (
-        "hamiltonian_residual",
-        "virial_i_residual",
-        "virial_j_residual",
-        "local_energy_residual",
-    )
+    # functionals whose analytic rate is checked against the FD derivative
+    _FD_CHECKED = ("hamiltonian", "virial_i", "virial_j", "local_energy")
+    RESIDUAL_COLUMNS = tuple(name + "_residual" for name in _FD_CHECKED)
 
     def table(self) -> tuple:
         """(column names, rows) for the diagnostics CSV.
@@ -810,8 +776,7 @@ class DiagnosticsEngine:
         stencil edges or when the cadence does not support FD).
         """
         names = DiagnosticsRecord.field_names() + list(self.RESIDUAL_COLUMNS)
-        nrec = len(self.records)
-        extra = {k: np.full(nrec, np.nan) for k in self.RESIDUAL_COLUMNS}
+        extra = {k: np.full(len(self.records), np.nan) for k in self.RESIDUAL_COLUMNS}
         try:
             rr = self.rate_residuals()
         except ValueError:
@@ -843,14 +808,9 @@ class DiagnosticsEngine:
         if not np.isclose(gaps[-1], dt, rtol=1e-9, atol=1e-12):
             n -= 1  # trailing partial interval
         out = {}
-        for fname, rname in (
-            ("hamiltonian", "hamiltonian_rate"),
-            ("virial_i", "virial_i_rate"),
-            ("virial_j", "virial_j_rate"),
-            ("local_energy", "local_energy_rate"),
-        ):
+        for fname in self._FD_CHECKED:
             f = self.series(fname)[:n]
-            r = self.series(rname)[:n]
+            r = self.series(fname + "_rate")[:n]
             if np.isnan(f).any():
                 continue
             fd = fd5_derivative(f, dt)[2:-2]

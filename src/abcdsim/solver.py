@@ -125,21 +125,17 @@ def max_group_speed(p: AbcdParams, g: Grid) -> float:
     return float(np.max(sp))
 
 
-def _sample(b: Bathymetry, g: Grid, t: float) -> BathymetrySamples:
-    return b.sample(g, t)
-
-
 def step_rk4(s: State, dt: float, b: Bathymetry, p: AbcdParams) -> State:
     """One classical Runge-Kutta step of size dt (dt may be negative)."""
     g = s.grid
     t = s.t
-    k1e, k1u = rhs(s, _sample(b, g, t), p)
-    mid = _sample(b, g, t + 0.5 * dt)
+    k1e, k1u = rhs(s, b.sample(g, t), p)
+    mid = b.sample(g, t + 0.5 * dt)
     s2 = State(g, s.eta + 0.5 * dt * k1e, s.u + 0.5 * dt * k1u, t + 0.5 * dt)
     k2e, k2u = rhs(s2, mid, p)
     s3 = State(g, s.eta + 0.5 * dt * k2e, s.u + 0.5 * dt * k2u, t + 0.5 * dt)
     k3e, k3u = rhs(s3, mid, p)
-    end = _sample(b, g, t + dt)
+    end = b.sample(g, t + dt)
     s4 = State(g, s.eta + dt * k3e, s.u + dt * k3u, t + dt)
     k4e, k4u = rhs(s4, end, p)
     eta = s.eta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)

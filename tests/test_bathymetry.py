@@ -81,6 +81,20 @@ class TestPresetAlgebra:
         # sign changes under the envelope
         assert np.min(bs.h) < 0 < np.max(bs.h)
 
+    def test_profile_follows_the_grid_after_ids_are_reused(self):
+        # each grid is freed at `del` (it holds no reference cycles), so the
+        # next one often gets its id; the cached profile must still be the
+        # one of the grid being sampled
+        b = decaying_bump(1e-3, width=2.0)
+        wrong = 0
+        for L in range(10, 210):
+            g = Grid(float(L), 256)
+            fresh = decaying_bump(1e-3, width=2.0).sample(g, 0.0).h
+            if not np.array_equal(b.sample(g, 0.0).h, fresh):
+                wrong += 1
+            del g
+        assert wrong == 0
+
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("make", [

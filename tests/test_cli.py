@@ -133,6 +133,24 @@ class TestIdentitySuite:
         lines = (out / "diagnostics.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + summary["n_snapshots"]
 
+    def test_check_that_did_not_run_fails_the_suite(self, tmp_path, capsys):
+        # the scheduled window is undefined before t = 11, so the I, J and
+        # local-energy series start with NaN and their FD checks cannot run
+        text = (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 12.0")
+                .replace("dt = 0.001", "dt = 0.05")
+                .replace("weight_mode = fixed", "weight_mode = schedule"))
+        out = tmp_path / "sched"
+        cfg = _write_cfg(tmp_path, text, out=out)
+        assert main(["run", cfg]) == 3
+        stdout = capsys.readouterr().out
+        assert "no finite value for virial_i_rate, virial_j_rate, local_energy_rate -> FAIL" in stdout
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flags"] == {"residuals_ok": False}
+        assert "virial_i_rate" not in summary["residual_maxima"]
+        # the checks that did run are still reported, and passed
+        assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
+        assert summary["residual_maxima"]["decomposition"] < 1e-6
+
     def test_artifacts_are_byte_deterministic(self, tmp_path):
         texts = {}
         for tag in ("one", "two"):

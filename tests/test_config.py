@@ -192,6 +192,32 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(str(tmp_path / "nope.ini"))
 
+    @pytest.mark.parametrize("section, line", [
+        ("diagnostics", "residual_treshold = 1e-30"),
+        ("time", "snapshot_evry = 5"),
+        ("diagnostics", "checkpoint_every = 10"),  # removed option
+    ])
+    def test_unread_keys_are_rejected(self, section, line):
+        # a typo must not fall back to the default (1e-6, every step)
+        text = RUN_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = line.split(" = ")[0]
+        self._expect(text, rf'unknown key "{key}" in \[{section}\]')
+
+    def test_unknown_sections_are_rejected(self):
+        self._expect(RUN_TEXT + "[diagnostic]\nalpha = 0.3\n", r'unknown section "\[diagnostic\]"')
+        region = ("[experiment]\nkind = region-map\noutput_dir = o\n"
+                  "[region]\na_min = -1\na_max = 0\nc_min = -1\nc_max = 0\nstep = 0.5\n")
+        self._expect(region + "[time]\ndt = 0.1\n", r'unknown section "\[time\]" for kind "region-map"')
+
+    def test_direct_coefficients_rejected_in_physical_mode(self):
+        # physical mode derives a, c, a1, c1; a given one would be ignored
+        text = (
+            "[experiment]\nkind = identity-suite\noutput_dir = o\n"
+            "[params]\nmode = physical\ntheta = 0.7745966692414834\nlambda_p = -2\nmu_p = -1\na = -1\n"
+            "[grid]\nhalf_length = pi\nn = 64\n[time]\ndt = 0.01\nt_end = 1\n"
+        )
+        self._expect(text, r'unknown key "a" in \[params\]')
+
 
 class TestNormalForm:
     CONFIGS = [

@@ -34,16 +34,21 @@ from abcdsim.diagnostics import (
     local_energy,
     local_energy_rate_rhs,
     momentum,
+    moving_weight_I,
+    moving_weight_J,
     nh_bound_parts,
     quadratic_form_fg,
     quadratic_form_scale,
     virial_I,
     virial_J,
     virial_rate_I_rhs,
+    virial_rate_I_terms,
     virial_rate_J_rhs,
+    virial_rate_J_terms,
     virial_rate_decomposition,
     windowed_h1,
 )
+from abcdsim.solver import state_h1_norm
 from abcdsim.weights import uniform_psi_weights
 
 CORNER = AbcdParams(a=-1.0, c=-1.0)
@@ -381,3 +386,94 @@ class TestEngine:
             eng.observe(State(grid40, eta, u, t))
         with pytest.raises(ValueError):
             eng.rate_residuals()
+
+
+class TestEngineMatchesPublicFunctions:
+    """Every engine field equals, bit for bit, the value rebuilt from the
+    public functions, each called without shared scratch."""
+
+    P = AbcdParams(a=-1.0, c=-1.0, a1=0.3, c1=0.56)
+    ALPHA = 0.5
+
+    def _trajectory(self, b, t_start):
+        g = Grid(40 * np.pi, 256)
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        cfg = SimConfig(params=self.P, bathymetry=b, grid=g, eta0=eta, u0=u, dt=1e-3,
+                        t_start=t_start, t_end=t_start + 0.04, snapshot_every=5)
+        return run(cfg).snapshots
+
+    def _expected(self, s, b, w):
+        p, alpha = self.P, self.ALPHA
+        bs = b.sample(s.grid, s.t)
+        qc = quadratic_coeffs(p.a, p.c, alpha)
+        dec = virial_rate_decomposition(s, bs, p, alpha, w)
+        grouped = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"]
+        direct = virial_rate_I_rhs(s, bs, p, w) + alpha * virial_rate_J_rhs(s, bs, p, w)
+        term_scale = sum(abs(v) for v in virial_rate_I_terms(s, bs, p, w).values()) + sum(
+            abs(alpha * v) for v in virial_rate_J_terms(s, bs, p, w).values()
+        )
+        q_canonical = quadratic_form_fg(s, qc, w)
+        canon_l2, canon_nonlocal = canonical_identity_residuals(s, w)
+        assert dec["movingI"] == moving_weight_I(s, w)
+        assert dec["movingJ"] == alpha * moving_weight_J(s, w)
+        return {
+            "t": s.t,
+            "h1_norm": state_h1_norm(s),
+            "hamiltonian": hamiltonian_h(s, bs, p),
+            "hamiltonian_rate": hamiltonian_rate_rhs(s, bs, p),
+            "momentum": momentum(s),
+            "virial_i": virial_I(s, w),
+            "virial_j": virial_J(s, w),
+            "virial_mix": virial_I(s, w) + alpha * virial_J(s, w),
+            "virial_i_rate": virial_rate_I_rhs(s, bs, p, w) + moving_weight_I(s, w),
+            "virial_j_rate": virial_rate_J_rhs(s, bs, p, w) + moving_weight_J(s, w),
+            "moving_i": moving_weight_I(s, w),
+            "moving_j": moving_weight_J(s, w),
+            "q_part": dec["Q"],
+            "sq_part": dec["SQ"],
+            "nq_part": dec["NQ"],
+            "nh_part": dec["NH"],
+            "decomposition_residual": abs(grouped - direct) / max(term_scale, 1e-30),
+            "q_canonical": q_canonical,
+            "change_var_residual": abs(dec["Q"] - q_canonical) / max(quadratic_form_scale(s, qc, w), 1e-30),
+            "canon_l2_residual": canon_l2,
+            "canon_nonlocal_residual": canon_nonlocal,
+            "local_energy": local_energy(s, bs, p, w),
+            "local_energy_rate": local_energy_rate_rhs(s, bs, p, w),
+            "windowed_h1": windowed_h1(s, w.lam),
+            "interval_h1": interval_h1(s, w.lam),
+        }
+
+    def _check(self, eng, states, weights_at):
+        assert len(eng.records) == len(states)
+        for rec, s in zip(eng.records, states):
+            want = self._expected(s, eng.bathymetry, weights_at(s))
+            got = {name: getattr(rec, name) for name in want}
+            assert got == want, s.t
+        # only the running decay integral is left, checked by the callers
+        assert set(DiagnosticsRecord.field_names()) - set(want) == {"running_decay_integral"}
+
+    def test_bump_with_scheduled_window(self):
+        b = decaying_bump(1e-2, width=2.0, t0=11.0)
+        states = self._trajectory(b, 11.0)
+        eng = DiagnosticsEngine(self.P, b, alpha=self.ALPHA, weight_mode="schedule")
+        for s in states:
+            eng.observe(s)
+        self._check(eng, states, lambda s: scheduled_weights(s.grid, s.t))
+        assert eng.records[0].moving_i != 0.0  # the window does move
+        assert eng.records[0].nh_part != 0.0   # and the bottom does force
+        running = decay_metrics(states).running_integral
+        assert list(running) == list(eng.series("running_decay_integral"))
+
+    def test_flat_with_fixed_window(self):
+        b = flat_bottom()
+        states = self._trajectory(b, 0.0)
+        eng = DiagnosticsEngine(self.P, b, alpha=self.ALPHA, weight_mode="fixed", fixed_lambda=10.0)
+        for s in states:
+            eng.observe(s)
+        self._check(eng, states, lambda s: weight_set(s.grid, 10.0))
+        assert all(r.moving_i == 0.0 and r.nh_part == 0.0 for r in eng.records)
+        dens = eng.series("windowed_h1") / 10.0
+        t = eng.series("t")
+        running = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
+        assert list(running) == list(eng.series("running_decay_integral"))
