@@ -1,17 +1,21 @@
 """Experiment configuration: INI parsing, validation, normalization.
 
-The config format is flat key = value sections.  parse_config returns a
-typed ExperimentConfig; normal_form re-serializes it to a canonical text
-whose parse compares equal (round-trip property).  Half-lengths accept
-"200*pi" style values since boxes are sized in multiples of pi.
+The config format is flat key = value sections.  The spec dataclasses
+below are the schema: a section is a spec, a key is one of its fields,
+the field's annotation (float, int, bool, str) converts the value, and a
+field with no default is required, as is any section with such a field.
+metadata["choices"] lists the allowed strings of a key; for the bottom
+preset and the initial-data kind those are the keys of the builder
+dispatch tables.  parse_config returns a typed ExperimentConfig;
+normal_form re-serializes it to a canonical text whose parse compares
+equal (round-trip property).  Half-lengths accept "200*pi" style values
+since boxes are sized in multiples of pi.
 """
-
-from __future__ import annotations
 
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 from .bathymetry import (
     Bathymetry,
@@ -47,10 +51,38 @@ __all__ = [
     "fmt_float",
 ]
 
-KINDS = ("identity-suite", "decay-run", "region-map", "hypothesis-audit")
-BATHY_PRESETS = ("flat", "decaying-bump", "smooth-switch", "traveling-ripple", "static-bump")
-INITIAL_KINDS = ("gaussian", "single-mode", "random", "zero")
 OUT_ROOT_ENV = "ABCDSIM_OUT_ROOT"
+
+# [bathymetry] preset -> bottom factory
+BATHY_PRESETS = {
+    "flat": lambda b: flat_bottom(),
+    "decaying-bump": lambda b: decaying_bump(b.amplitude, width=b.width, center=b.center, t0=b.t0),
+    "smooth-switch": lambda b: smooth_switch_bump(b.amplitude, width=b.width, center=b.center,
+                                                  t_on=b.t_on, t_off=b.t_off),
+    "traveling-ripple": lambda b: traveling_ripple(b.amplitude, width=b.width, k0=b.k0,
+                                                   center=b.center, t0=b.t0),
+    "static-bump": lambda b: static_bump(b.amplitude, width=b.width, center=b.center),
+}
+
+# [initial] kind -> (eta0, u0) factory
+INITIAL_KINDS = {
+    "gaussian": lambda i, grid, seed: gaussian_pair(grid, eps=i.eps, width=i.width,
+                                                    ratio=i.ratio, center=i.center),
+    "single-mode": lambda i, grid, seed: single_mode_pair(grid, i.mode, amp_eta=i.amp_eta,
+                                                          amp_u=i.amp_u, phase=i.phase),
+    "random": lambda i, grid, seed: random_bandlimited_pair(grid, seed, eps=i.eps,
+                                                            kmax_fraction=i.kmax_fraction),
+    "zero": lambda i, grid, seed: zero_pair(grid),
+}
+
+# experiment kind -> the sections it reads, by ExperimentConfig attribute
+_RUN_SECTIONS = ("params", "grid", "bathy", "initial", "time", "diag")
+KIND_SECTIONS = {
+    "identity-suite": _RUN_SECTIONS,
+    "decay-run": _RUN_SECTIONS,
+    "region-map": ("region",),
+    "hypothesis-audit": ("grid", "bathy", "audit"),
+}
 
 
 class ConfigError(ValueError):
@@ -62,15 +94,35 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _parse_length(text: str) -> float:
+    s = text.strip().lower().replace(" ", "")
+    if s == "pi":
+        return math.pi
+    if s.endswith("*pi"):
+        return float(s[:-3]) * math.pi
+    return float(s)
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _choices(allowed, default=MISSING):
+    return field(default=default, metadata={"choices": allowed})
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    half_length: float
+    half_length: float = field(metadata={"parse": _parse_length})
     n: int
 
 
 @dataclass(frozen=True)
 class BathySpec:
-    preset: str = "flat"
+    preset: str = _choices(BATHY_PRESETS, "flat")
     amplitude: float = 0.0
     width: float = 1.0
     center: float = 0.0
@@ -82,7 +134,7 @@ class BathySpec:
 
 @dataclass(frozen=True)
 class InitialSpec:
-    kind: str = "zero"
+    kind: str = _choices(INITIAL_KINDS, "zero")
     eps: float = 1e-2
     width: float = 5.0
     ratio: float = 1.0
@@ -107,7 +159,7 @@ class TimeSpec:
 @dataclass(frozen=True)
 class DiagSpec:
     alpha: float = 0.0
-    weight_mode: str = "fixed"
+    weight_mode: str = _choices(("fixed", "schedule"), "fixed")
     fixed_lambda: float = 10.0
     residual_threshold: float = 1e-6
 
@@ -130,221 +182,89 @@ class AuditSpec:
     c_const: float = 1.0
 
 
+def _section(name: str):
+    return field(default=None, metadata={"section": name})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
+    """The [experiment] keys, then one spec per section (None where the kind reads none)."""
+
+    kind: str = _choices(KIND_SECTIONS)
     output_dir: str
-    seed: int
-    params: AbcdParams | None = None
-    grid: GridSpec | None = None
-    bathy: BathySpec | None = None
-    initial: InitialSpec | None = None
-    time: TimeSpec | None = None
-    diag: DiagSpec | None = None
-    region: RegionSpec | None = None
-    audit: AuditSpec | None = None
+    seed: int = 0
+    params: AbcdParams | None = _section("params")
+    grid: GridSpec | None = _section("grid")
+    bathy: BathySpec | None = _section("bathymetry")
+    initial: InitialSpec | None = _section("initial")
+    time: TimeSpec | None = _section("time")
+    diag: DiagSpec | None = _section("diagnostics")
+    region: RegionSpec | None = _section("region")
+    audit: AuditSpec | None = _section("audit")
 
 
-# -- low-level readers ---------------------------------------------------
+# [params] is read in one of two modes, each with its own keys; a physical
+# b of None is inferred from (theta, lambda_p)
+PARAM_MODES = {
+    "direct": (("a", float, MISSING, {}), ("c", float, MISSING, {}),
+               ("a1", float, 0.0, {}), ("c1", float, 0.0, {})),
+    "physical": (("theta", float, MISSING, {}), ("lambda_p", float, MISSING, {}),
+                 ("mu_p", float, MISSING, {}), ("b", float, None, {})),
+}
+_PARAM_MODE_KEY = ("mode", str, "direct", {"choices": PARAM_MODES})
 
-def _parse_length(text: str) -> float:
-    s = text.strip().lower().replace(" ", "")
-    if s == "pi":
-        return math.pi
-    if s.endswith("*pi"):
-        return float(s[:-3]) * math.pi
-    return float(s)
+# (kind, section attribute) -> defaults that replace the spec's: decay runs use the moving window
+KIND_DEFAULTS = {("decay-run", "diag"): {"weight_mode": "schedule"}}
 
 
-class _Section:
-    def __init__(self, cp: configparser.ConfigParser, name: str):
-        self.name = name
-        self.present = cp.has_section(name)
-        self._cp = cp
-        self.read: set = set()  # every key asked for, present or not
+def _keys(spec) -> list:
+    """The (key, type, default, metadata) of each field of a spec that is a key."""
+    return [(f.name, f.type, f.default, f.metadata) for f in fields(spec) if "section" not in f.metadata]
 
-    def require(self):
-        if not self.present:
-            raise ConfigError(f'missing section "[{self.name}]"')
-        return self
 
-    def _raw(self, key: str):
-        self.read.add(key)
-        if not self.present or not self._cp.has_option(self.name, key):
-            return None
-        return self._cp.get(self.name, key)
+# -- parsing -------------------------------------------------------------
 
-    def get(self, key: str, default=None):
-        raw = self._raw(key)
-        return default if raw is None else raw.strip()
-
-    def need(self, key: str) -> str:
-        raw = self._raw(key)
+def _read(cp: configparser.ConfigParser, known: dict, section: str, keys, defaults=None) -> dict:
+    """Values of the given keys in one section, which are added to `known`
+    (section -> keys read); `defaults` replaces declared defaults."""
+    known.setdefault(section, set()).update(k[0] for k in keys)
+    defaults = defaults or {}
+    if not cp.has_section(section) and any(default is MISSING for _, _, default, _ in keys):
+        raise ConfigError(f'missing section "[{section}]"')
+    values = {}
+    # choices first: an invalid one is the error to report even if a later key is bad too
+    for key, type_, default, meta in sorted(keys, key=lambda k: "choices" not in k[3]):
+        raw = cp.get(section, key, fallback=None)
         if raw is None:
-            raise ConfigError(f'missing required field "{key}" in [{self.name}]')
-        return raw.strip()
-
-    def _convert(self, key: str, raw: str, conv):
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f'bad value for "{key}" in [{self.name}]: {raw!r}') from exc
-
-    def floatval(self, key: str, default=None, required=False):
-        raw = self.need(key) if required else self.get(key)
-        if raw is None:
-            return default
-        return self._convert(key, raw, float)
-
-    def lengthval(self, key: str, default=None, required=False):
-        raw = self.need(key) if required else self.get(key)
-        if raw is None:
-            return default
-        return self._convert(key, raw, _parse_length)
-
-    def intval(self, key: str, default=None, required=False):
-        raw = self.need(key) if required else self.get(key)
-        if raw is None:
-            return default
-        return self._convert(key, raw, int)
-
-    def boolval(self, key: str, default=False):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f'bad value for "{key}" in [{self.name}]: {raw!r}')
-
-    def choice(self, key: str, allowed, default=None, required=False):
-        raw = self.need(key) if required else self.get(key, default)
-        if raw is None:
-            return None
-        if raw not in allowed:
+            values[key] = defaults.get(key, default)
+            if values[key] is MISSING:
+                raise ConfigError(f'missing required field "{key}" in [{section}]')
+            continue
+        raw = raw.strip()
+        allowed = meta.get("choices")
+        if allowed is not None and raw not in allowed:
             raise ConfigError(
-                f'bad value for "{key}" in [{self.name}]: {raw!r} (allowed: {", ".join(allowed)})'
+                f'bad value for "{key}" in [{section}]: {raw!r} (allowed: {", ".join(allowed)})'
             )
-        return raw
-
-
-# -- section parsers -----------------------------------------------------
-
-def _parse_params(sec: _Section) -> AbcdParams:
-    sec.require()
-    mode = sec.choice("mode", ("direct", "physical"), default="direct")
-    if mode == "physical":
-        theta = sec.floatval("theta", required=True)
-        lambda_p = sec.floatval("lambda_p", required=True)
-        mu_p = sec.floatval("mu_p", required=True)
-        b = sec.floatval("b", default=None)
+        convert = meta.get("parse") or (_parse_bool if type_ is bool else type_)
         try:
-            if b is None:
-                # accept the tuple with b inferred from (theta, lambda_p)
-                b = 0.5 * (theta**2 - 1.0 / 3.0) * (1.0 - lambda_p)
-            return params_from_physical(theta, lambda_p, mu_p, b)
+            values[key] = convert(raw)
         except ValueError as exc:
-            raise ConfigError(f"invalid physical parameters in [{sec.name}]: {exc}") from exc
-    a = sec.floatval("a", required=True)
-    c = sec.floatval("c", required=True)
-    return AbcdParams(
-        a=a,
-        c=c,
-        a1=sec.floatval("a1", default=0.0),
-        c1=sec.floatval("c1", default=0.0),
-    )
+            raise ConfigError(f'bad value for "{key}" in [{section}]: {raw!r}') from exc
+    return values
 
 
-def _parse_grid(sec: _Section) -> GridSpec:
-    sec.require()
-    half = sec.lengthval("half_length", required=True)
-    n = sec.intval("n", required=True)
-    return GridSpec(half_length=half, n=n)
-
-
-def _parse_bathy(sec: _Section) -> BathySpec:
-    if not sec.present:
-        return BathySpec()
-    preset = sec.choice("preset", BATHY_PRESETS, default="flat")
-    return BathySpec(
-        preset=preset,
-        amplitude=sec.floatval("amplitude", default=0.0),
-        width=sec.floatval("width", default=1.0),
-        center=sec.floatval("center", default=0.0),
-        t0=sec.floatval("t0", default=0.0),
-        k0=sec.floatval("k0", default=1.0),
-        t_on=sec.floatval("t_on", default=1.0),
-        t_off=sec.floatval("t_off", default=2.0),
-    )
-
-
-def _parse_initial(sec: _Section) -> InitialSpec:
-    if not sec.present:
-        return InitialSpec()
-    kind = sec.choice("kind", INITIAL_KINDS, default="zero")
-    return InitialSpec(
-        kind=kind,
-        eps=sec.floatval("eps", default=1e-2),
-        width=sec.floatval("width", default=5.0),
-        ratio=sec.floatval("ratio", default=1.0),
-        center=sec.floatval("center", default=0.0),
-        mode=sec.intval("mode", default=1),
-        amp_eta=sec.floatval("amp_eta", default=0.0),
-        amp_u=sec.floatval("amp_u", default=0.0),
-        phase=sec.floatval("phase", default=0.0),
-        kmax_fraction=sec.floatval("kmax_fraction", default=0.5),
-    )
-
-
-def _parse_time(sec: _Section) -> TimeSpec:
-    sec.require()
-    dt = sec.floatval("dt", required=True)
-    t_end = sec.floatval("t_end", required=True)
-    return TimeSpec(
-        dt=dt,
-        t_end=t_end,
-        t_start=sec.floatval("t_start", default=0.0),
-        snapshot_every=sec.intval("snapshot_every", default=1),
-        cfl_factor=sec.floatval("cfl_factor", default=0.5),
-        blowup_factor=sec.floatval("blowup_factor", default=10.0),
-    )
-
-
-def _parse_diag(sec: _Section, kind: str) -> DiagSpec:
-    default_mode = "schedule" if kind == "decay-run" else "fixed"
-    if not sec.present:
-        return DiagSpec(weight_mode=default_mode)
-    mode = sec.choice("weight_mode", ("fixed", "schedule"), default=default_mode)
-    return DiagSpec(
-        alpha=sec.floatval("alpha", default=0.0),
-        weight_mode=mode,
-        fixed_lambda=sec.floatval("fixed_lambda", default=10.0),
-        residual_threshold=sec.floatval("residual_threshold", default=1e-6),
-    )
-
-
-def _parse_region(sec: _Section) -> RegionSpec:
-    sec.require()
-    return RegionSpec(
-        a_min=sec.floatval("a_min", required=True),
-        a_max=sec.floatval("a_max", required=True),
-        c_min=sec.floatval("c_min", required=True),
-        c_max=sec.floatval("c_max", required=True),
-        step=sec.floatval("step", required=True),
-        b=sec.floatval("b", default=1.0),
-        with_alpha=sec.boolval("with_alpha", default=True),
-    )
-
-
-def _parse_audit(sec: _Section) -> AuditSpec:
-    sec.require()
-    return AuditSpec(
-        t_max=sec.floatval("t_max", required=True),
-        eps=sec.floatval("eps", required=True),
-        c_const=sec.floatval("c_const", default=1.0),
-    )
+def _params(cp: configparser.ConfigParser, known: dict) -> AbcdParams:
+    mode = _read(cp, known, "params", [_PARAM_MODE_KEY])["mode"]
+    v = _read(cp, known, "params", PARAM_MODES[mode])
+    if mode == "direct":
+        return AbcdParams(**v)
+    if v["b"] is None:
+        v["b"] = 0.5 * (v["theta"] ** 2 - 1.0 / 3.0) * (1.0 - v["lambda_p"])
+    try:
+        return params_from_physical(**v)
+    except ValueError as exc:
+        raise ConfigError(f"invalid physical parameters in [params]: {exc}") from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -354,37 +274,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
 
-    sections: dict = {}
-
-    def section(name: str) -> _Section:
-        sections[name] = _Section(cp, name)
-        return sections[name]
-
-    exp = section("experiment").require()
-    kind = exp.choice("kind", KINDS, required=True)
-    output_dir = exp.need("output_dir")
-    seed = exp.intval("seed", default=0)
-
-    ec = dict(kind=kind, output_dir=output_dir, seed=seed)
-    if kind in ("identity-suite", "decay-run"):
-        ec["params"] = _parse_params(section("params"))
-        ec["grid"] = _parse_grid(section("grid"))
-        ec["bathy"] = _parse_bathy(section("bathymetry"))
-        ec["initial"] = _parse_initial(section("initial"))
-        ec["time"] = _parse_time(section("time"))
-        ec["diag"] = _parse_diag(section("diagnostics"), kind)
-    elif kind == "region-map":
-        ec["region"] = _parse_region(section("region"))
-    else:  # hypothesis-audit
-        ec["grid"] = _parse_grid(section("grid"))
-        ec["bathy"] = _parse_bathy(section("bathymetry"))
-        ec["audit"] = _parse_audit(section("audit"))
+    known: dict = {}
+    ec = _read(cp, known, "experiment", _keys(ExperimentConfig))
+    kind = ec["kind"]
+    for f in fields(ExperimentConfig):
+        if f.name not in KIND_SECTIONS[kind]:
+            continue
+        if f.name == "params":
+            ec["params"] = _params(cp, known)
+            continue
+        spec = f.type.__args__[0]  # the class in `Spec | None`
+        values = _read(cp, known, f.metadata["section"], _keys(spec), KIND_DEFAULTS.get((kind, f.name)))
+        ec[f.name] = spec(**values)
     # a key nobody reads would be silently ignored (a typo keeps the default)
     for name in cp.sections():
-        if name not in sections:
+        if name not in known:
             raise ConfigError(f'unknown section "[{name}]" for kind "{kind}"')
         for key in cp.options(name):
-            if key not in sections[name].read:
+            if key not in known[name]:
                 raise ConfigError(f'unknown key "{key}" in [{name}]')
     return ExperimentConfig(**ec)
 
@@ -413,59 +320,23 @@ def _emit(lines: list, section: str, pairs: list):
     lines.append("")
 
 
+def _pairs(obj, keys) -> list:
+    return [(key, getattr(obj, key)) for key, *_ in keys]
+
+
 def normal_form(cfg: ExperimentConfig) -> str:
     """Canonical re-serialization; parsing it yields an equal config."""
     lines: list = []
-    _emit(lines, "experiment", [("kind", cfg.kind), ("output_dir", cfg.output_dir), ("seed", cfg.seed)])
-    if cfg.params is not None:
-        p = cfg.params
-        if p.origin == "physical":
-            _emit(lines, "params", [
-                ("mode", "physical"), ("theta", p.theta), ("lambda_p", p.lambda_p),
-                ("mu_p", p.mu_p), ("b", p.b),
-            ])
+    _emit(lines, "experiment", _pairs(cfg, _keys(ExperimentConfig)))
+    for f in fields(ExperimentConfig):
+        spec = getattr(cfg, f.name)
+        if "section" not in f.metadata or spec is None:
+            continue
+        if f.name == "params":
+            pairs = [("mode", spec.origin)] + _pairs(spec, PARAM_MODES[spec.origin])
         else:
-            _emit(lines, "params", [
-                ("mode", "direct"), ("a", p.a), ("c", p.c), ("a1", p.a1), ("c1", p.c1),
-            ])
-    if cfg.grid is not None:
-        _emit(lines, "grid", [("half_length", cfg.grid.half_length), ("n", cfg.grid.n)])
-    if cfg.bathy is not None:
-        b = cfg.bathy
-        _emit(lines, "bathymetry", [
-            ("preset", b.preset), ("amplitude", b.amplitude), ("width", b.width),
-            ("center", b.center), ("t0", b.t0), ("k0", b.k0),
-            ("t_on", b.t_on), ("t_off", b.t_off),
-        ])
-    if cfg.initial is not None:
-        i = cfg.initial
-        _emit(lines, "initial", [
-            ("kind", i.kind), ("eps", i.eps), ("width", i.width), ("ratio", i.ratio),
-            ("center", i.center), ("mode", i.mode), ("amp_eta", i.amp_eta),
-            ("amp_u", i.amp_u), ("phase", i.phase), ("kmax_fraction", i.kmax_fraction),
-        ])
-    if cfg.time is not None:
-        t = cfg.time
-        _emit(lines, "time", [
-            ("dt", t.dt), ("t_end", t.t_end), ("t_start", t.t_start),
-            ("snapshot_every", t.snapshot_every), ("cfl_factor", t.cfl_factor),
-            ("blowup_factor", t.blowup_factor),
-        ])
-    if cfg.diag is not None:
-        d = cfg.diag
-        _emit(lines, "diagnostics", [
-            ("alpha", d.alpha), ("weight_mode", d.weight_mode),
-            ("fixed_lambda", d.fixed_lambda), ("residual_threshold", d.residual_threshold),
-        ])
-    if cfg.region is not None:
-        r = cfg.region
-        _emit(lines, "region", [
-            ("a_min", r.a_min), ("a_max", r.a_max), ("c_min", r.c_min),
-            ("c_max", r.c_max), ("step", r.step), ("b", r.b), ("with_alpha", r.with_alpha),
-        ])
-    if cfg.audit is not None:
-        a = cfg.audit
-        _emit(lines, "audit", [("t_max", a.t_max), ("eps", a.eps), ("c_const", a.c_const)])
+            pairs = _pairs(spec, _keys(spec))
+        _emit(lines, f.metadata["section"], pairs)
     return "\n".join(lines)
 
 
@@ -489,37 +360,17 @@ def build_grid(cfg: ExperimentConfig) -> Grid:
 def build_bathymetry(cfg: ExperimentConfig) -> Bathymetry:
     b = cfg.bathy or BathySpec()
     try:
-        if b.preset == "flat":
-            return flat_bottom()
-        if b.preset == "decaying-bump":
-            return decaying_bump(b.amplitude, width=b.width, center=b.center, t0=b.t0)
-        if b.preset == "smooth-switch":
-            return smooth_switch_bump(b.amplitude, width=b.width, center=b.center,
-                                      t_on=b.t_on, t_off=b.t_off)
-        if b.preset == "traveling-ripple":
-            return traveling_ripple(b.amplitude, width=b.width, k0=b.k0,
-                                    center=b.center, t0=b.t0)
-        if b.preset == "static-bump":
-            return static_bump(b.amplitude, width=b.width, center=b.center)
+        return BATHY_PRESETS[b.preset](b)
     except ValueError as exc:
         raise ConfigError(f"invalid bathymetry: {exc}") from exc
-    raise ConfigError(f'bad value for "preset" in [bathymetry]: {b.preset!r}')
 
 
 def build_initial(cfg: ExperimentConfig, grid: Grid) -> tuple:
     i = cfg.initial or InitialSpec()
     try:
-        if i.kind == "zero":
-            return zero_pair(grid)
-        if i.kind == "gaussian":
-            return gaussian_pair(grid, eps=i.eps, width=i.width, ratio=i.ratio, center=i.center)
-        if i.kind == "single-mode":
-            return single_mode_pair(grid, i.mode, amp_eta=i.amp_eta, amp_u=i.amp_u, phase=i.phase)
-        if i.kind == "random":
-            return random_bandlimited_pair(grid, cfg.seed, eps=i.eps, kmax_fraction=i.kmax_fraction)
+        return INITIAL_KINDS[i.kind](i, grid, cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"invalid initial data: {exc}") from exc
-    raise ConfigError(f'bad value for "kind" in [initial]: {i.kind!r}')
 
 
 def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
@@ -527,7 +378,6 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
     bathy = build_bathymetry(cfg)
     eta0, u0 = build_initial(cfg, grid)
     t = cfg.time
-    d = cfg.diag or DiagSpec()
     try:
         return SimConfig(
             params=cfg.params,
@@ -539,7 +389,6 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
             t_end=t.t_end,
             t_start=t.t_start,
             snapshot_every=t.snapshot_every,
-            alpha=d.alpha,
             cfl_factor=t.cfl_factor,
             blowup_factor=t.blowup_factor,
         )

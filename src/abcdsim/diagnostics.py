@@ -704,10 +704,14 @@ class DiagnosticsEngine:
         self.qc = quadratic_coeffs(params.a, params.c, alpha)
         self.records: list[DiagnosticsRecord] = []
         self._decay = _RunningTrapezoid()
+        self._fixed_weights: dict[tuple, WeightSet] = {}  # static window per grid (L, N)
 
     def _weights(self, grid: Grid, t: float):
         if self.weight_mode == "fixed":
-            return weight_set(grid, self.fixed_lambda)
+            key = (grid.L, grid.N)
+            if key not in self._fixed_weights:
+                self._fixed_weights[key] = weight_set(grid, self.fixed_lambda)
+            return self._fixed_weights[key]
         if t < T_MIN:
             return None
         return scheduled_weights(grid, t)

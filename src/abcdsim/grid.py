@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Grid", "canonical_pair"]
+__all__ = ["Grid"]
 
 
 class Grid:
@@ -44,8 +44,6 @@ class Grid:
         self.N = N
         self.dx = 2.0 * L / N
         self.x = -L + self.dx * np.arange(N)
-        # symmetric wavenumber set in FFT ordering, for inspection and tests
-        self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(N, d=self.dx)
         # half spectrum used by the real transforms
         self.k = 2.0 * np.pi * np.fft.rfftfreq(N, d=self.dx)
         self.k2 = self.k * self.k
@@ -127,9 +125,3 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(L={self.L!r}, N={self.N})"
-
-
-def canonical_pair(state):
-    """Canonical variables (f, g) with (1 - dxx) f = u, (1 - dxx) g = eta."""
-    g = state.grid
-    return g.helmholtz_inverse(state.u), g.helmholtz_inverse(state.eta)

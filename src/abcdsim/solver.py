@@ -156,7 +156,6 @@ class SimConfig:
     t_end: float
     t_start: float = 0.0
     snapshot_every: int = 1
-    alpha: float = 0.0
     cfl_factor: float = 0.5
     blowup_factor: float = 10.0
 

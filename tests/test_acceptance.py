@@ -72,7 +72,7 @@ def _rate_sweep(weight_mode, t_start, t_end, bump_t0, fixed_lambda=None):
                                 fixed_lambda=fixed_lambda)
         cfg = SimConfig(params=PHYSICAL, bathymetry=b, grid=g, eta0=eta, u0=u,
                         dt=dt, t_start=t_start, t_end=t_end,
-                        snapshot_every=20, alpha=0.5)
+                        snapshot_every=20)
         run(cfg, observer=eng)
         for name, (_, rel) in eng.rate_residuals().items():
             out.setdefault(name, []).append(float(np.nanmax(rel)))

@@ -1,13 +1,18 @@
 """INI experiment configs: parsing, canonical form, builders."""
 
+import configparser
+import io
 import math
 import os
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from abcdsim import AbcdParams, Grid, SimConfig
 from abcdsim.config import (
+    PARAM_MODES,
     AuditSpec,
     BathySpec,
     ConfigError,
@@ -64,6 +69,98 @@ alpha = 0.5
 weight_mode = fixed
 fixed_lambda = 10.0
 """
+
+REGION_TEXT = (
+    "[experiment]\nkind = region-map\noutput_dir = maps\n"
+    "[region]\na_min = -1\na_max = -0.1\nc_min = -1\nc_max = -0.1\nstep = 0.05\n"
+)
+
+AUDIT_TEXT = (
+    "[experiment]\nkind = hypothesis-audit\noutput_dir = o\n"
+    "[grid]\nhalf_length = 40*pi\nn = 256\n"
+    "[bathymetry]\npreset = static-bump\namplitude = 1e-3\n"
+    "[audit]\nt_max = 100\neps = 1e-3\nc_const = 8\n"
+)
+
+RUN_NORMAL_FORM = """\
+[experiment]
+kind = identity-suite
+output_dir = out/demo
+seed = 7
+
+[params]
+mode = direct
+a = -1
+c = -1
+a1 = 0.29999999999999999
+c1 = 0.56000000000000005
+
+[grid]
+half_length = 125.66370614359172
+n = 256
+
+[bathymetry]
+preset = decaying-bump
+amplitude = 0.001
+width = 2
+center = 0
+t0 = 0
+k0 = 1
+t_on = 1
+t_off = 2
+
+[initial]
+kind = gaussian
+eps = 0.01
+width = 5
+ratio = 1
+center = 0
+mode = 1
+amp_eta = 0
+amp_u = 0
+phase = 0
+kmax_fraction = 0.5
+
+[time]
+dt = 0.001
+t_end = 0.050000000000000003
+t_start = 0
+snapshot_every = 5
+cfl_factor = 0.5
+blowup_factor = 10
+
+[diagnostics]
+alpha = 0.5
+weight_mode = fixed
+fixed_lambda = 10
+residual_threshold = 9.9999999999999995e-07
+"""
+
+
+def _schema_keys():
+    """(attribute, section, field, base config) for every key of every spec."""
+    base_of = {"region": REGION_TEXT, "audit": AUDIT_TEXT}
+    out = [pytest.param(None, "experiment", f, RUN_TEXT, id=f"experiment.{f.name}")
+           for f in fields(ExperimentConfig) if "section" not in f.metadata]
+    for sf in fields(ExperimentConfig):
+        section = sf.metadata.get("section")
+        if section is None or sf.name == "params":  # [params] has two modes, tested apart
+            continue
+        for f in fields(typing.get_args(sf.type)[0]):
+            out.append(pytest.param(sf.name, section, f, base_of.get(section, RUN_TEXT),
+                                    id=f"{section}.{f.name}"))
+    return out
+
+
+def _with_key(text, section, key, value):
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    if isinstance(value, bool):
+        value = "true" if value else "false"
+    cp.set(section, key, repr(value) if isinstance(value, float) else str(value))
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 class TestParsing:
@@ -222,12 +319,8 @@ class TestParseErrors:
 class TestNormalForm:
     CONFIGS = [
         RUN_TEXT,
-        "[experiment]\nkind = region-map\noutput_dir = maps\n"
-        "[region]\na_min = -1\na_max = -0.1\nc_min = -1\nc_max = -0.1\nstep = 0.05\n",
-        "[experiment]\nkind = hypothesis-audit\noutput_dir = o\n"
-        "[grid]\nhalf_length = 40*pi\nn = 256\n"
-        "[bathymetry]\npreset = static-bump\namplitude = 1e-3\n"
-        "[audit]\nt_max = 100\neps = 1e-3\nc_const = 8\n",
+        REGION_TEXT,
+        AUDIT_TEXT,
         "[experiment]\nkind = decay-run\noutput_dir = o\n"
         "[params]\nmode = physical\ntheta = 0.774596669241483\nlambda_p = -2\nmu_p = -1\nb = 0.4\n"
         "[grid]\nhalf_length = 200*pi\nn = 512\n"
@@ -245,6 +338,40 @@ class TestNormalForm:
         cfg = parse_config_text(self.CONFIGS[idx])
         nf = normal_form(cfg)
         assert normal_form(parse_config_text(nf)) == nf
+
+    def test_pinned_text(self):
+        # key order and float formatting are part of the format, not only the round trip
+        assert normal_form(parse_config_text(RUN_TEXT)) == RUN_NORMAL_FORM
+
+    @pytest.mark.parametrize("attr, section, f, base", _schema_keys())
+    def test_every_key_is_read_and_written(self, attr, section, f, base):
+        # each spec field is a key: a non-default value survives parse -> normal_form -> parse
+        def holder(cfg):
+            return cfg if attr is None else getattr(cfg, attr)
+
+        current = getattr(holder(parse_config_text(base)), f.name)
+        if "choices" in f.metadata:
+            value = next(c for c in f.metadata["choices"] if c not in (f.default, current))
+        else:
+            value = {float: 0.375, int: 3, bool: not f.default, str: "elsewhere"}[f.type]
+        cfg = parse_config_text(_with_key(base, section, f.name, value))
+        assert getattr(holder(cfg), f.name) == value
+        assert parse_config_text(normal_form(cfg)) == cfg
+
+    @pytest.mark.parametrize("mode, values", [
+        ("direct", {"a": -0.75, "c": -0.5, "a1": 0.25, "c1": 0.125}),
+        ("physical", {"theta": math.sqrt(0.5), "lambda_p": -5.0, "mu_p": -1.0, "b": 0.5}),
+    ])
+    def test_both_param_modes_are_read_and_written(self, mode, values):
+        assert set(values) == {key for key, *_ in PARAM_MODES[mode]}
+        text = RUN_TEXT.replace("a = -1.0\nc = -1.0\na1 = 0.3\nc1 = 0.56\n", f"mode = {mode}\n")
+        for key, value in values.items():
+            text = _with_key(text, "params", key, value)
+        cfg = parse_config_text(text)
+        assert cfg.params.origin == mode
+        for key, value in values.items():
+            assert getattr(cfg.params, key) == pytest.approx(value, rel=1e-12)
+        assert parse_config_text(normal_form(cfg)) == cfg
 
     def test_fmt_float_precision(self):
         # 17 significant digits reproduce any double exactly
@@ -277,7 +404,6 @@ class TestBuilders:
         assert sim.grid.N == 256
         assert sim.dt == 1e-3 and sim.t_end == 0.05
         assert sim.snapshot_every == 5
-        assert sim.alpha == 0.5
         assert sim.bathymetry.preset == "decaying-bump"
         # gaussian surface bump of size eps
         assert np.max(np.abs(sim.eta0)) == pytest.approx(0.01)

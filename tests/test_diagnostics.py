@@ -314,7 +314,7 @@ def _short_run(weight_mode, fixed_lambda=None, t_start=0.0, alpha=0.5,
     cfg = SimConfig(
         params=p, bathymetry=b, grid=g, eta0=eta, u0=u,
         dt=dt, t_start=t_start, t_end=t_start + n_steps * dt,
-        snapshot_every=snapshot_every, alpha=alpha,
+        snapshot_every=snapshot_every,
     )
     run(cfg, observer=eng)
     return eng
