@@ -102,15 +102,18 @@ class Grid:
     # -- dealiased products ---------------------------------------------
 
     def _to_fine(self, coeffs):
-        """Fine-grid samples of the trig polynomial with the given rfft coeffs."""
-        fh = np.zeros(self.n_fine // 2 + 1, dtype=complex)
-        fh[: self.N // 2] = coeffs[: self.N // 2]  # Nyquist dropped
+        """Fine-grid samples of the trig polynomials with the given rfft coeffs.
+
+        Stacked input is transformed along the last axis in one call.
+        """
+        fh = np.zeros(coeffs.shape[:-1] + (self.n_fine // 2 + 1,), dtype=complex)
+        fh[..., : self.N // 2] = coeffs[..., : self.N // 2]  # Nyquist dropped
         return np.fft.irfft(fh, n=self.n_fine) * (self.n_fine / self.N)
 
     def _from_fine(self, fine_values):
-        """Coarse rfft coeffs of a fine-grid field, truncated alias-free."""
-        wh = np.fft.rfft(fine_values)[: self.N // 2 + 1] * (self.N / self.n_fine)
-        wh[-1] = 0.0
+        """Coarse rfft coeffs of fine-grid fields (last axis), truncated alias-free."""
+        wh = np.fft.rfft(fine_values)[..., : self.N // 2 + 1] * (self.N / self.n_fine)
+        wh[..., -1] = 0.0
         return wh
 
     def mult(self, u, v):

@@ -10,6 +10,10 @@ speed is bounded and a classical explicit RK4 step under a mild CFL
 condition is stable.  Quadratic products are dealiased by zero padding;
 bottom derivatives enter as analytic samples, so no spectral derivative
 of h is ever taken.
+
+`run` carries the rfft coefficients of (u, eta) from step to step and
+builds a physical State only at snapshots.  `rhs` and `step_rk4` are
+physical-space adapters over the same kernel.
 """
 
 from __future__ import annotations
@@ -73,15 +77,86 @@ class State:
         return State(self.grid, self.eta.copy(), self.u.copy(), self.t)
 
 
-def state_h1_norm(s: State) -> float:
-    """H1 x H1 norm of (eta, u), computed spectrally."""
-    g = s.grid
-    eh = g.hat(s.eta)
-    uh = g.hat(s.u)
-    w = (1.0 + g.k2) * (np.abs(eh) ** 2 + np.abs(uh) ** 2)
+def _h1_norm(g: Grid, y) -> float:
+    """H1 x H1 norm of the fields whose rfft coefficients are the rows of y."""
+    w = (1.0 + g.k2) * np.sum(np.abs(y) ** 2, axis=0)
     # rfft half-spectrum Parseval: double the interior modes
     w[1:-1] *= 2.0
     return float(np.sqrt(g.dx / g.N * np.sum(w)))
+
+
+def state_h1_norm(s: State) -> float:
+    """H1 x H1 norm of (eta, u), computed spectrally."""
+    return _h1_norm(s.grid, _hat(s))
+
+
+def _hat(s: State):
+    """Stacked rfft coefficients (u_hat, eta_hat) of a state."""
+    g = s.grid
+    return np.stack((g.hat(s.u), g.hat(s.eta)))
+
+
+def _state(g: Grid, y, t: float) -> State:
+    """Physical state at time t from the stacked coefficients (u_hat, eta_hat)."""
+    u, eta = g.from_hat(y)
+    return State(g, eta, u, t)
+
+
+def _bottom_spectra(g: Grid, p: AbcdParams, h, dt_h, dt_dxx_h, dtt_dx_h):
+    """rfft of h and the bottom forcing rows (c1 T dtt dx h, T (a1 dt dxx h - dt h))^."""
+    force = np.stack((p.c1 * g._helm * g.hat(dtt_dx_h), g._helm * g.hat(p.a1 * dt_dxx_h - dt_h)))
+    return g.hat(h), force
+
+
+def _bottom_at(b: Bathymetry, g: Grid, p: AbcdParams):
+    """t -> (h_hat, force) of a separable bottom, or (None, None) over a flat one.
+
+    The spectra are built once at unit tau from the closed-form profile
+    (X, X', X''); each stage scales them by tau, tau' and tau''.
+    """
+    if b.is_flat:
+        return lambda t: (None, None)
+    X, dX, d2X = b._profiles(g)
+    amp = b.amplitude
+    h_hat, force = _bottom_spectra(g, p, amp * X, amp * X, amp * d2X, amp * dX)
+
+    def at(t):
+        tv, dtv, d2tv = b.tau(t)
+        return tv * h_hat, np.array((d2tv, dtv))[:, None] * force
+
+    return at
+
+
+class _Kernel:
+    """Tendency and RK4 step of the stacked coefficients y = (u_hat, eta_hat).
+
+    A tendency costs one stacked inverse transform of (u_hat, eta_hat +
+    h_hat) to the fine grid and one stacked forward transform of
+    (u^2, u (eta + h)) back, so an RK4 step costs 8 transforms.
+    """
+
+    def __init__(self, g: Grid, p: AbcdParams):
+        ik_hel = g._ik * g._helm
+        self.grid = g
+        self.lin = np.stack((ik_hel * (p.c * g.k2 - 1.0), ik_hel * (p.a * g.k2 - 1.0)))
+        self.quad = np.stack((-0.5 * ik_hel, -ik_hel))
+
+    def __call__(self, y, h_hat, force):
+        g = self.grid
+        fine = g._to_fine(y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
+        k = self.lin * y[::-1] + self.quad * g._from_fine(fine * fine[0])
+        if force is not None:
+            k += force
+        return k
+
+    def step(self, y, t: float, dt: float, bottom):
+        """One classical Runge-Kutta step from time t (dt may be negative)."""
+        start, mid, end = bottom(t), bottom(t + 0.5 * dt), bottom(t + dt)
+        k1 = self(y, *start)
+        k2 = self(y + 0.5 * dt * k1, *mid)
+        k3 = self(y + 0.5 * dt * k2, *mid)
+        k4 = self(y + dt * k3, *end)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
@@ -89,26 +164,10 @@ def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
     g = s.grid
     if not g.compatible(bs.grid):
         raise ValueError("state and bathymetry samples live on different grids")
-    uh = g.hat(s.u)
-    eh = g.hat(s.eta)
-    ik = g._ik
-    hel = g._helm
-    k2 = g.k2
-
-    uf = g._to_fine(uh)
-    if bs.zero:
-        sf = g._to_fine(eh)
-    else:
-        sf = g._to_fine(g.hat(s.eta + bs.h))
-    p_us = g._from_fine(uf * sf)  # dealiased u*(eta+h)
-    p_uu = g._from_fine(uf * uf)  # dealiased u^2
-
-    deta_hat = ik * hel * ((p.a * k2 - 1.0) * uh - p_us)
-    du_hat = ik * hel * ((p.c * k2 - 1.0) * eh - 0.5 * p_uu)
-    if not bs.zero:
-        deta_hat += hel * g.hat(p.a1 * bs.dt_dxx_h - bs.dt_h)
-        du_hat += p.c1 * hel * g.hat(bs.dtt_dx_h)
-    return g.from_hat(deta_hat), g.from_hat(du_hat)
+    bottom = (None, None) if bs.zero else _bottom_spectra(
+        g, p, bs.h, bs.dt_h, bs.dt_dxx_h, bs.dtt_dx_h)
+    du, deta = g.from_hat(_Kernel(g, p)(_hat(s), *bottom))
+    return deta, du
 
 
 def max_group_speed(p: AbcdParams, g: Grid) -> float:
@@ -128,19 +187,8 @@ def max_group_speed(p: AbcdParams, g: Grid) -> float:
 def step_rk4(s: State, dt: float, b: Bathymetry, p: AbcdParams) -> State:
     """One classical Runge-Kutta step of size dt (dt may be negative)."""
     g = s.grid
-    t = s.t
-    k1e, k1u = rhs(s, b.sample(g, t), p)
-    mid = b.sample(g, t + 0.5 * dt)
-    s2 = State(g, s.eta + 0.5 * dt * k1e, s.u + 0.5 * dt * k1u, t + 0.5 * dt)
-    k2e, k2u = rhs(s2, mid, p)
-    s3 = State(g, s.eta + 0.5 * dt * k2e, s.u + 0.5 * dt * k2u, t + 0.5 * dt)
-    k3e, k3u = rhs(s3, mid, p)
-    end = b.sample(g, t + dt)
-    s4 = State(g, s.eta + dt * k3e, s.u + dt * k3u, t + dt)
-    k4e, k4u = rhs(s4, end, p)
-    eta = s.eta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-    u = s.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    return State(g, eta, u, t + dt)
+    y = _Kernel(g, p).step(_hat(s), s.t, dt, _bottom_at(b, g, p))
+    return _state(g, y, s.t + dt)
 
 
 @dataclass
@@ -164,6 +212,12 @@ class SimConfig:
             raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
         if (self.t_end - self.t_start) * self.dt <= 0.0:
             raise ValueError("sign of dt must match the direction from t_start to t_end")
+        steps = (self.t_end - self.t_start) / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_end - t_start = {self.t_end - self.t_start} is not a whole number "
+                f"of steps of dt={self.dt}"
+            )
         if not 0.0 < self.cfl_factor <= 1.0:
             raise ValueError(f"cfl_factor must lie in (0, 1], got {self.cfl_factor}")
         if self.snapshot_every < 1:
@@ -196,11 +250,12 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
         )
 
     n_total = int(round((cfg.t_end - cfg.t_start) / cfg.dt))
-    if n_total < 1:
-        raise ValueError("run spans less than one step")
+    kernel = _Kernel(g, cfg.params)
+    bottom = _bottom_at(cfg.bathymetry, g, cfg.params)
 
     s = State(g, np.array(cfg.eta0, dtype=float), np.array(cfg.u0, dtype=float), cfg.t_start)
-    norm0 = state_h1_norm(s)
+    y = _hat(s)
+    norm0 = _h1_norm(g, y)
 
     result = RunResult(final_state=s)
 
@@ -212,13 +267,14 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     emit(s)
     for n in range(1, n_total + 1):
-        s = step_rk4(s, cfg.dt, cfg.bathymetry, cfg.params)
-        s.t = cfg.t_start + n * cfg.dt  # avoid accumulated roundoff in t
+        # times from the step index avoid accumulated roundoff in t
+        y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, bottom)
         if n % cfg.snapshot_every == 0 or n == n_total:
+            s = _state(g, y, cfg.t_start + n * cfg.dt)
             if not (np.all(np.isfinite(s.eta)) and np.all(np.isfinite(s.u))):
                 raise NonFinite(f"non-finite field values at t={s.t}")
             if norm0 > 0.0:
-                norm = state_h1_norm(s)
+                norm = _h1_norm(g, y)
                 if norm > cfg.blowup_factor * norm0:
                     raise BlowUp(
                         f"H1 norm {norm} exceeded {cfg.blowup_factor} x initial {norm0} at t={s.t}"

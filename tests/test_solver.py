@@ -22,15 +22,73 @@ from abcdsim import (
     state_h1_norm,
     static_bump,
     step_rk4,
+    traveling_ripple,
     zero_pair,
 )
 from abcdsim.diagnostics import hamiltonian_h
-from abcdsim.bathymetry import BathymetrySamples
+from abcdsim.bathymetry import Bathymetry, BathymetrySamples
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid(np.pi, 64)
+
+
+# -- physical-space reference stepper ------------------------------------
+# A transform round trip per stage, one bottom sample per stage time and
+# one transform per field; run() must agree with it to round-off.
+
+def _reference_rhs(s, bs, p):
+    g = s.grid
+    uh = g.hat(s.u)
+    eh = g.hat(s.eta)
+    ik = g._ik
+    hel = g._helm
+    k2 = g.k2
+
+    uf = g._to_fine(uh)
+    if bs.zero:
+        sf = g._to_fine(eh)
+    else:
+        sf = g._to_fine(g.hat(s.eta + bs.h))
+    p_us = g._from_fine(uf * sf)  # dealiased u*(eta+h)
+    p_uu = g._from_fine(uf * uf)  # dealiased u^2
+
+    deta_hat = ik * hel * ((p.a * k2 - 1.0) * uh - p_us)
+    du_hat = ik * hel * ((p.c * k2 - 1.0) * eh - 0.5 * p_uu)
+    if not bs.zero:
+        deta_hat += hel * g.hat(p.a1 * bs.dt_dxx_h - bs.dt_h)
+        du_hat += p.c1 * hel * g.hat(bs.dtt_dx_h)
+    return g.from_hat(deta_hat), g.from_hat(du_hat)
+
+
+def _reference_step(s, dt, b, p):
+    g = s.grid
+    t = s.t
+    k1e, k1u = _reference_rhs(s, b.sample(g, t), p)
+    mid = b.sample(g, t + 0.5 * dt)
+    s2 = State(g, s.eta + 0.5 * dt * k1e, s.u + 0.5 * dt * k1u, t + 0.5 * dt)
+    k2e, k2u = _reference_rhs(s2, mid, p)
+    s3 = State(g, s.eta + 0.5 * dt * k2e, s.u + 0.5 * dt * k2u, t + 0.5 * dt)
+    k3e, k3u = _reference_rhs(s3, mid, p)
+    end = b.sample(g, t + dt)
+    s4 = State(g, s.eta + dt * k3e, s.u + dt * k3u, t + dt)
+    k4e, k4u = _reference_rhs(s4, end, p)
+    eta = s.eta + (dt / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+    u = s.u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    return State(g, eta, u, t + dt)
+
+
+def _reference_run(cfg):
+    s = State(cfg.grid, cfg.eta0, cfg.u0, cfg.t_start)
+    snaps = [s]
+    n_total = int(round((cfg.t_end - cfg.t_start) / cfg.dt))
+    for n in range(1, n_total + 1):
+        s = _reference_step(s, cfg.dt, cfg.bathymetry, cfg.params)
+        s.t = cfg.t_start + n * cfg.dt
+        if n % cfg.snapshot_every == 0 or n == n_total:
+            snaps.append(s)
+    return snaps
 
 
 def _flat_samples(g, t=0.0):
@@ -251,7 +309,7 @@ class TestRunPlumbing:
 
     @pytest.mark.parametrize("kw", [
         dict(dt=0.0), dict(dt=np.nan), dict(cfl_factor=0.0), dict(cfl_factor=1.5),
-        dict(snapshot_every=0),
+        dict(snapshot_every=0), dict(dt=0.4, t_end=1.0),
     ])
     def test_config_validation(self, grid, kw):
         p = AbcdParams(a=-1.0, c=-1.0)
@@ -287,3 +345,53 @@ class TestStateNorm:
         eta = np.sin(3.0 * grid.x)
         s = State(grid, eta, np.zeros(grid.N), 0.0)
         npt.assert_allclose(state_h1_norm(s), np.sqrt(10.0 * np.pi), rtol=1e-12)
+
+
+class TestAgainstReference:
+    # 1000 steps of run() against the physical-space reference stepper
+    @pytest.mark.parametrize("bottom, params", [
+        (flat_bottom(), AbcdParams(a=-1.0, c=-1.0)),
+        (decaying_bump(2e-3, width=2.0, center=1.0), AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.56)),
+        (traveling_ripple(2e-3, width=2.0, k0=1.5), AbcdParams(a=-0.6, c=-0.4, a1=0.2, c1=0.4)),
+    ], ids=["flat", "decaying-bump", "traveling-ripple"])
+    def test_run_matches_reference_after_1000_steps(self, bottom, params):
+        g = Grid(10 * np.pi, 128)
+        eta0, u0 = gaussian_pair(g, eps=5e-2, width=2.0)
+        cfg = SimConfig(params=params, bathymetry=bottom, grid=g, eta0=eta0, u0=u0,
+                        dt=1e-2, t_start=0.5, t_end=10.5, snapshot_every=100)
+        got = run(cfg).snapshots
+        want = _reference_run(cfg)
+        assert [s.t for s in got] == [s.t for s in want]
+        assert len(got) == 11
+        for a, b in zip(got, want):
+            for name in ("eta", "u"):
+                x, ref = getattr(a, name), getattr(b, name)
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), (a.t, name)
+
+
+class TestStepCost:
+    @pytest.mark.parametrize("bottom", [flat_bottom(), decaying_bump(1e-3, width=1.0)],
+                             ids=["flat", "decaying-bump"])
+    def test_eight_transforms_and_no_bottom_sample_per_step(self, grid, bottom, monkeypatch):
+        calls = {"fft": 0, "sample": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft"))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
+        monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
+        p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        totals = []
+        for n_steps in (10, 30):
+            calls.update(fft=0, sample=0)
+            # snapshots only at the two ends, so the two runs differ by steps alone
+            run(SimConfig(params=p, bathymetry=bottom, grid=grid, eta0=eta0, u0=u0,
+                          dt=1e-2, t_end=n_steps * 1e-2, snapshot_every=1000))
+            assert calls["sample"] == 0
+            totals.append(calls["fft"])
+        assert totals[1] - totals[0] == 8 * 20
