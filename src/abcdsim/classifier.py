@@ -4,7 +4,7 @@ Two layers:
 
 * the region test, a main inequality plus a refined piecewise family
   covering parts of the parameter square the main inequality misses;
-* the quadratic-form coefficients in canonical variables and the scan
+* the quadratic-form coefficients in canonical variables and the search
   for a mixing weight alpha making all six leading coefficients
   nonnegative.
 """
@@ -105,11 +105,13 @@ class QuadCoeffs:
     B1: float; B2: float; B3: float; B4: float
     D11: float; D12: float; D21: float; D22: float
 
-    def min_main(self) -> float:
-        return min(self.A2, self.A3, self.A4, self.B2, self.B3, self.B4)
+    def min_main(self):
+        """The smallest of the six main coefficients (elementwise for an array alpha)."""
+        return np.minimum.reduce([self.A2, self.A3, self.A4, self.B2, self.B3, self.B4])
 
 
 def quadratic_coeffs(a: float, c: float, alpha: float) -> QuadCoeffs:
+    """The coefficients at one alpha, or elementwise at an array of them."""
     return QuadCoeffs(
         A1=0.5,
         A2=-alpha - 1.5 * a,
@@ -127,24 +129,36 @@ def quadratic_coeffs(a: float, c: float, alpha: float) -> QuadCoeffs:
 
 
 def find_admissible_alpha(a: float, c: float, span: float = 4.0, step: float = 1e-3):
-    """Scan alpha in [-span, span] for nonnegative leading coefficients.
+    """Search the grid k * step, |k| <= span / step, for nonnegative leading coefficients.
 
     Maximizes min(A2, A3, A4, B2, B3, B4) subject to all six >= 0; ties
-    are broken toward the smallest |alpha|.  Returns (alpha, margin) or
-    None when no scanned alpha qualifies.
+    are broken toward the smallest |alpha|, and a tie between -alpha and
+    +alpha goes to -alpha, the first in grid order.  Returns (alpha,
+    margin) or None when no grid alpha qualifies.
+
+    The six are lines in alpha: A2, A3, A4 fall and B2, B3, B4 rise, so
+    their minimum is concave and peaks at alpha* = max over rising i of
+    min over falling j of the crossings alpha_ij.  Only the grid points
+    within w steps of alpha* are evaluated, where w covers every point
+    that rounding could bring into the tie band, so the result is that
+    of evaluating the whole grid.
     """
     if not (a < 0.0 and c < 0.0):
         raise ValueError(f"leading-coefficient scan needs a < 0 and c < 0, got a={a}, c={c}")
     # integer-scaled grid so that 0 (and the endpoints) are hit exactly
     n = int(round(span / step))
-    al = np.arange(-n, n + 1) * step
-    A2 = -al - 1.5 * a
-    A3 = -(1.0 - a) * al - 2.0 * a - 0.5
-    A4 = a * (al - 0.5)
-    B2 = al - 1.5 * c
-    B3 = (1.0 - c) * al - 2.0 * c - 0.5
-    B4 = -c * (al + 0.5)
-    worst = np.minimum.reduce([A2, A3, A4, B2, B3, B4])
+    # each coefficient is the line v0 + s * alpha, (v0, s) read off at alpha = 0 and 1
+    q0, q1 = quadratic_coeffs(a, c, 0.0), quadratic_coeffs(a, c, 1.0)
+    falling, rising = ("A2", "A3", "A4"), ("B2", "B3", "B4")
+    line = {k: (getattr(q0, k), getattr(q1, k) - getattr(q0, k)) for k in falling + rising}
+    peak = max(min((line[f][0] - line[r][0]) / (line[r][1] - line[f][1]) for f in falling)
+               for r in rising)
+    # one step off the peak lowers the minimum by at least min(|a|, |c|, 1) * step;
+    # w = 2n takes in the whole grid (and keeps w finite for subnormal a or c)
+    w = 2 + math.ceil(min(1e-12 / step / min(-a, -c, 1.0), 2 * n))
+    k0 = int(round(min(max(peak / step, -n), n)))
+    al = np.arange(max(k0 - w, -n), min(k0 + w, n) + 1) * step
+    worst = quadratic_coeffs(a, c, al).min_main()
     ok = worst >= 0.0
     if not np.any(ok):
         return None

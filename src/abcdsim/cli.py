@@ -26,6 +26,7 @@ from .config import (
     fmt_float,
     build_bathymetry,
     build_grid,
+    build_region_axes,
     build_sim_config,
     parse_config,
     resolve_output_dir,
@@ -309,10 +310,7 @@ def _run_decay(cfg: ExperimentConfig, outdir: str) -> int:
 
 def _run_region_map(cfg: ExperimentConfig, outdir: str) -> int:
     r = cfg.region
-    if r.step <= 0.0:
-        raise ConfigError('bad value for "step" in [region]: must be positive')
-    a_vals = np.arange(r.a_min, r.a_max + 0.5 * r.step, r.step)
-    c_vals = np.arange(r.c_min, r.c_max + 0.5 * r.step, r.step)
+    a_vals, c_vals = build_region_axes(cfg)
     rows = []
     for a in a_vals:
         for c in c_vals:

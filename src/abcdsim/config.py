@@ -17,6 +17,8 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
+import numpy as np
+
 from .bathymetry import (
     Bathymetry,
     decaying_bump,
@@ -48,6 +50,7 @@ __all__ = [
     "build_bathymetry",
     "build_initial",
     "build_sim_config",
+    "build_region_axes",
     "fmt_float",
 ]
 
@@ -394,3 +397,20 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid run setup: {exc}") from exc
+
+
+def build_region_axes(cfg: ExperimentConfig) -> tuple:
+    """The a and c values of the region map's cells, from a_min to a_max (c_min to c_max).
+
+    A [region] value the sweep cannot use is a ConfigError naming its key:
+    b and step must be positive, and an empty range would sweep no cell.
+    """
+    r = cfg.region
+    for key, bad, rule in (("step", not r.step > 0.0, "must be positive"),
+                           ("b", not r.b > 0.0, "must be positive"),
+                           ("a_max", not r.a_max >= r.a_min, "must not be below a_min"),
+                           ("c_max", not r.c_max >= r.c_min, "must not be below c_min")):
+        if bad:
+            raise ConfigError(f'bad value for "{key}" in [region]: {rule}')
+    return (np.arange(r.a_min, r.a_max + 0.5 * r.step, r.step),
+            np.arange(r.c_min, r.c_max + 0.5 * r.step, r.step))

@@ -1,6 +1,9 @@
 """Region tests for (a, c) and the canonical quadratic form coefficients."""
 
 import math
+import pathlib
+import random
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -8,12 +11,16 @@ import pytest
 
 from abcdsim import (
     QuadCoeffs,
+    classifier,
     find_admissible_alpha,
     quadratic_coeffs,
     refined_margin,
     satisfies_refined_dispersion,
 )
 from abcdsim.classifier import REFINED_SPLIT
+from abcdsim.config import ExperimentConfig, RegionSpec, build_region_axes, parse_config
+
+SHIPPED_REGION_MAP = pathlib.Path(__file__).resolve().parent.parent / "configs" / "region_map.ini"
 
 
 def _main_slack(a, c):
@@ -178,3 +185,123 @@ class TestAlphaScan:
     def test_degenerate_a_zero_raises(self):
         with pytest.raises(ValueError):
             find_admissible_alpha(0.0, -0.5)
+
+
+def _full_scan(a, c, span=4.0, step=1e-3):
+    """Reference: evaluate every alpha = k * step, |k| <= span / step (8001 points by default)."""
+    n = int(round(span / step))
+    al = np.arange(-n, n + 1) * step
+    A2 = -al - 1.5 * a
+    A3 = -(1.0 - a) * al - 2.0 * a - 0.5
+    A4 = a * (al - 0.5)
+    B2 = al - 1.5 * c
+    B3 = (1.0 - c) * al - 2.0 * c - 0.5
+    B4 = -c * (al + 0.5)
+    worst = np.minimum.reduce([A2, A3, A4, B2, B3, B4])
+    ok = worst >= 0.0
+    if not np.any(ok):
+        return None
+    best = float(np.max(worst[ok]))
+    tied = ok & (worst >= best - 1e-15)
+    cand = al[tied]
+    alpha = float(cand[np.argmin(np.abs(cand))])
+    return alpha, best
+
+
+def _exact_peak(a, c):
+    """Where min(A2, ..., B4) peaks, in exact rational arithmetic."""
+    a, c = Fraction(a), Fraction(c)
+    falling = [(-Fraction(3, 2) * a, -1), (-2 * a - Fraction(1, 2), a - 1), (-a / 2, a)]
+    rising = [(-Fraction(3, 2) * c, 1), (-2 * c - Fraction(1, 2), 1 - c), (-c / 2, -c)]
+    return max(min((f0 - r0) / (rs - fs) for f0, fs in falling) for r0, rs in rising)
+
+
+def _cells(a_vals, c_vals):
+    return [(float(a), float(c)) for a in a_vals for c in c_vals]
+
+
+def _shipped_cells():
+    return _cells(*build_region_axes(parse_config(str(SHIPPED_REGION_MAP))))
+
+
+def _offset_cells(seed):
+    # the benchmark's region_map workload: the shipped grid moved by a seeded offset
+    step = 0.01
+    off = random.Random(seed).uniform(0.0, 0.5) * step
+    region = RegionSpec(a_min=-1.0 + off, a_max=-0.01 + off, c_min=-1.0 + off,
+                        c_max=-0.01 + off, step=step)
+    return _cells(*build_region_axes(ExperimentConfig(kind="region-map", output_dir="o",
+                                                      region=region)))
+
+
+def _assert_matches_full_scan(cells, **grid):
+    bad = [(a, c) for a, c in cells
+           if find_admissible_alpha(a, c, **grid) != _full_scan(a, c, **grid)]
+    assert not bad, f"{len(bad)} of {len(cells)} cells differ, first {bad[:3]}"
+
+
+class TestAlphaBracket:
+    """The bracketed search returns exactly what the dense scan of the same grid returns."""
+
+    def test_shipped_region_map(self):
+        cells = _shipped_cells()
+        assert len(cells) == 100 * 100
+        _assert_matches_full_scan(cells)
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_benchmark_offset_grids(self, seed):
+        _assert_matches_full_scan(_offset_cells(seed))
+
+    def test_log_uniform_cells(self):
+        rng = np.random.default_rng(20190127)
+        mags = 10.0 ** rng.uniform(-12.0, math.log10(30.0), size=(20000, 2))
+        _assert_matches_full_scan([(-float(a), -float(c)) for a, c in mags])
+
+    def test_window_wider_than_the_grid(self):
+        # for min(|a|, |c|) below 2.5e-13 the window half-width w exceeds
+        # the 4000 grid steps on each side, so the whole grid is evaluated
+        rng = np.random.default_rng(11)
+        tiny = 10.0 ** rng.uniform(-16.0, -13.0, size=200)
+        other = 10.0 ** rng.uniform(-16.0, math.log10(30.0), size=200)
+        cells = [(-float(t), -float(o)) for t, o in zip(tiny, other)]
+        subnormal = [(-5e-324, -0.5), (-1e-320, -0.5), (-5e-324, -5e-324), (-1e-310, -1e-310)]
+        _assert_matches_full_scan(cells + [(c, a) for a, c in cells + subnormal] + subnormal)
+
+    @pytest.mark.parametrize("a, c, peak", [
+        (-0.5, -0.5, 0), (-0.25, -0.75, Fraction(-1, 4)), (-0.75, -0.25, Fraction(1, 4)),
+    ])
+    def test_peak_exactly_on_a_grid_point(self, a, c, peak):
+        assert _exact_peak(a, c) == peak
+        assert (peak / Fraction(1, 1000)).denominator == 1
+        assert find_admissible_alpha(a, c) == _full_scan(a, c)
+        assert find_admissible_alpha(a, c)[0] == float(peak)
+
+    @pytest.mark.parametrize("a, c", [(-0.75, -0.25), (-0.25, -0.75), (-0.5, -0.25)])
+    def test_peak_beyond_the_span_is_clipped_to_the_end(self, a, c):
+        span = 0.1
+        assert abs(_exact_peak(a, c)) > span
+        got = find_admissible_alpha(a, c, span=span)
+        assert got == _full_scan(a, c, span=span)
+        assert got is not None and abs(got[0]) == 100 * 1e-3  # the last grid point, k = 100
+
+    def test_other_span_and_step(self):
+        grid = dict(span=1.0, step=3e-3)
+        _assert_matches_full_scan(_shipped_cells()[::7], **grid)
+        rng = np.random.default_rng(7)
+        mags = 10.0 ** rng.uniform(-12.0, math.log10(30.0), size=(2000, 2))
+        _assert_matches_full_scan([(-float(a), -float(c)) for a, c in mags], **grid)
+
+    def test_evaluates_a_handful_of_grid_points_per_cell(self, monkeypatch):
+        # every coefficient goes through quadratic_coeffs, so counting its alpha
+        # values counts the work; a dense scan would be 8001 per cell
+        evaluated = []
+
+        def counting(a, c, alpha):
+            evaluated[-1] += np.size(alpha)
+            return quadratic_coeffs(a, c, alpha)
+
+        monkeypatch.setattr(classifier, "quadratic_coeffs", counting)
+        for a, c in _shipped_cells():
+            evaluated.append(0)
+            find_admissible_alpha(a, c)
+        assert 1 <= min(evaluated) and max(evaluated) <= 16

@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from abcdsim.classifier import find_admissible_alpha, satisfies_refined_dispersion
+from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
 from abcdsim.cli import main
+from abcdsim.config import fmt_float
+from test_classifier import _full_scan
 
 IDENTITY_TEXT = """
 [experiment]
@@ -107,6 +109,12 @@ t_max = 50.0
 eps = 1e-3
 c_const = 8.0
 """
+
+
+def _region_text(**values):
+    """REGION_TEXT with the given [region] keys set (appended when absent)."""
+    lines = [line for line in REGION_TEXT.split("\n") if line.split(" = ")[0] not in values]
+    return "\n".join(lines) + "".join(f"{key} = {value!r}\n" for key, value in values.items())
 
 
 def _write_cfg(tmp_path, text, name="exp.ini", **fmt):
@@ -227,6 +235,22 @@ class TestRegionMap:
             1 for line in lines[1:] if line.split(",")[2] == "true"
         )
 
+    def test_alpha_column_is_the_dense_scan_byte_for_byte(self, tmp_path):
+        # a 5 x 5 map straddling the refined split at about -0.36059
+        text = _region_text(a_min=-0.40, a_max=-0.32, c_min=-0.40, c_max=-0.32, step=0.02)
+        out = tmp_path / "map"
+        assert main(["region-map", _write_cfg(tmp_path, text, out=out)]) == 0
+        lines = (out / "region_map.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 25
+        a_seen = set()
+        for line in lines[1:]:
+            a_s, c_s, _, _, _, alpha_s = line.split(",")
+            a, c = float(a_s), float(c_s)
+            a_seen.add(a)
+            found = _full_scan(a, c)
+            assert alpha_s == ("" if found is None else fmt_float(found[0]))
+        assert min(a_seen) < REFINED_SPLIT < max(a_seen)
+
     def test_run_subcommand_accepts_region_kind(self, tmp_path):
         out = tmp_path / "map2"
         cfg = _write_cfg(tmp_path, REGION_TEXT, out=out)
@@ -292,6 +316,20 @@ class TestErrorPaths:
         cfg = _write_cfg(tmp_path, text, out=out)
         assert main(["run", cfg]) == 2
         assert "aborted" in capsys.readouterr().err
+
+
+class TestRegionValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("b", 0.0), ("b", -1.0), ("step", 0.0), ("step", -0.5),
+        ("a_max", -1.5), ("c_max", -1.5),
+    ])
+    def test_bad_region_value_is_a_config_error_naming_the_key(self, tmp_path, capsys, key, value):
+        out = tmp_path / "map"
+        cfg = _write_cfg(tmp_path, _region_text(**{key: value}), out=out)
+        assert main(["region-map", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f'"{key}" in [region]' in err
+        assert not (out / "region_map.csv").exists()
 
 
 class TestOutputRoot:
