@@ -120,21 +120,28 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _create(path: str):
+    """Open path for writing; the output directory is made at the first
+    write, so a config rejected while building leaves nothing behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True, indent=2))
         fh.write("\n")
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 
@@ -360,9 +367,7 @@ _RUNNERS = {
 
 
 def _dispatch_run(cfg: ExperimentConfig) -> int:
-    outdir = resolve_output_dir(cfg)
-    os.makedirs(outdir, exist_ok=True)
-    return _RUNNERS[cfg.kind](cfg, outdir)
+    return _RUNNERS[cfg.kind](cfg, resolve_output_dir(cfg))
 
 
 # -- report command ------------------------------------------------------

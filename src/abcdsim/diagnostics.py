@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "hamiltonian_h",
     "hamiltonian_rate_terms",
     "hamiltonian_rate_rhs",
-    "hamiltonian_rate_rhs_alt",
     "momentum",
     "virial_I",
     "virial_J",
@@ -61,161 +59,90 @@ __all__ = [
 
 
 class _Snap:
-    """Spectral scratch shared by every functional at one snapshot.
+    """Every field the functionals read at one snapshot, and their integrals.
 
-    Fields are computed on first use and cached.  Over a flat bottom the
-    fields built from h are preset to zeros, which spares their transforms.
+    The fields are built eagerly from the state's rfft coefficients
+    (zero-padded products as in Boyd 2001, ch. 11): one stacked pass to
+    the 3/2 fine grid and back for the dealiased products u^2 and u eta
+    (and u h), over a bump one stacked rfft of the sampled bottom fields,
+    and one stacked irfft of the whole ladder of derivatives and T
+    images.  Over a flat bottom every bottom field is None.
     """
 
-    def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams):
-        self.bs = bs
-        self.p = p
-        self.g = state.grid
-        self.u = state.u
-        self.eta = state.eta
+    _UV = ("du", "d2u", "cf", "cf1", "cf2", "cf3", "deta", "d2eta", "cg", "cg1", "cg2", "cg3")
+    _PRODUCTS = ("T_uu", "Tdx_uu", "T_ue", "Tdx_ue", "T_uh", "Tdx_uh")
+    _BOTTOM = ("T_w1", "Tdx_w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
+    _SAMPLED = ("h", "dx_h", "dt_h", "dt_dx_h", "dtt_dx_h")
+
+    def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams | None):
+        g = state.grid
+        if not g.compatible(bs.grid):
+            raise ValueError("state and bathymetry samples live on different grids")
+        self.g = g
+        self._table: dict = {}
+        self._bound: dict = {}
+        ik, d2, helm = g._ik, -g.k2, g._helm
+        y = state.coeffs
+        if not bs.zero:
+            w1 = p.a1 * bs.dt_dxx_h - bs.dt_h
+            b = np.fft.rfft(np.stack((bs.h, w1, bs.dt_h, bs.dtt_dx_h, bs.dtt_dxx_h)))
+            y = np.concatenate((y, b[:1]))
+        fine = g._to_fine(y)
+        prods = g._from_fine(fine * fine[0])  # u^2, u eta [, u h]
+        # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
+        tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))
+        images = np.stack((helm, ik * helm))
+        rows = [y[0] * tower, y[1] * tower, (prods[:, None] * images).reshape(-1, helm.size)]
+        names = self._UV + self._PRODUCTS[: 2 * len(prods)]
+        if not bs.zero:
+            rows.append(np.stack((
+                helm * b[1], ik * helm * b[1], helm * b[2], helm * b[3], helm * b[4],
+                helm * ((1.0 - p.a * g.k2) * y[0] + prods[1] + prods[2]),  # F = T(a dxx u + u + u(eta+h))
+                helm * ((1.0 - p.c * g.k2) * y[1] + 0.5 * prods[0]),      # G = T(c dxx eta + eta + u^2/2)
+            )))
+            names += self._BOTTOM
+        self.__dict__.update(zip(names, g.from_hat(np.concatenate(rows))))
+        self.u, self.eta = u, eta = state.u, state.eta
         if bs.zero:
-            bottom = ("p_uh", "T_uh", "Tdx_uh", "w1", "T_w1", "Tdx_w1", "T_dth", "T_q", "T_q2")
-            self.__dict__.update(dict.fromkeys(bottom, np.zeros(self.g.N)))
+            self.__dict__.update(dict.fromkeys(self._SAMPLED + self._PRODUCTS[4:] + self._BOTTOM + ("w1",)))
+            self.T_ueh, self.Tdx_ueh = self.T_ue, self.Tdx_ue
+        else:
+            self.__dict__.update({k: getattr(bs, k) for k in self._SAMPLED}, w1=w1)
+            self.T_ueh, self.Tdx_ueh = self.T_ue + self.T_uh, self.Tdx_ue + self.Tdx_uh
+        du, deta = self.du, self.deta
+        self.momentum = u * eta + du * deta
+        self.h1 = u**2 + eta**2 + du**2 + deta**2
+        if p is not None:
+            self.energy = -p.a * du**2 - p.c * deta**2 + u**2 + eta**2 + u**2 * (eta + bs.h)
 
-    # physical derivatives -------------------------------------------------
-    @cached_property
-    def du(self):
-        return self.g.deriv(self.u)
+    def integrate(self, values) -> float:
+        """Rectangle rule of a field of this snapshot's grid."""
+        return self.g.dx * float(np.add.reduce(values))
 
-    @cached_property
-    def deta(self):
-        return self.g.deriv(self.eta)
+    def over(self, w: WeightSet | None):
+        """gi(*names): the integral of the product of the named fields and
+        weights of w, evaluated once per snapshot; 0 if a factor is None."""
+        if w is not None and id(w) not in self._bound:
+            self.g.check(w.phi)
+            self._bound[id(w)] = w  # keeps id(w) unique while the table lives
+        fields, table, key0, integrate = self.__dict__, self._table, id(w), self.integrate
 
-    @cached_property
-    def d2u(self):
-        return self.g.deriv(self.u, 2)
+        def gi(*names):
+            key = (key0, names)
+            value = table.get(key)
+            if value is None:
+                value, product = 0.0, None
+                for name in names:
+                    f = fields[name] if name in fields else getattr(w, name)
+                    if f is None:
+                        break
+                    product = f if product is None else product * f
+                else:
+                    value = integrate(product)
+                table[key] = value
+            return value
 
-    @cached_property
-    def d2eta(self):
-        return self.g.deriv(self.eta, 2)
-
-    # densities shared by several functionals ------------------------------
-    @cached_property
-    def energy_density(self):
-        p = self.p
-        return (-p.a * self.du**2 - p.c * self.deta**2 + self.u**2 + self.eta**2
-                + self.u**2 * (self.eta + self.bs.h))
-
-    @cached_property
-    def momentum_density(self):
-        return self.u * self.eta + self.du * self.deta
-
-    @cached_property
-    def h1_density(self):
-        return self.u**2 + self.eta**2 + self.du**2 + self.deta**2
-
-    # canonical variables --------------------------------------------------
-    @cached_property
-    def cf(self):
-        return self.g.helmholtz_inverse(self.u)
-
-    @cached_property
-    def cg(self):
-        return self.g.helmholtz_inverse(self.eta)
-
-    @cached_property
-    def cf1(self):
-        return self.g.deriv(self.cf)
-
-    @cached_property
-    def cf2(self):
-        return self.g.deriv(self.cf, 2)
-
-    @cached_property
-    def cf3(self):
-        return self.g.deriv(self.cf, 3)
-
-    @cached_property
-    def cg1(self):
-        return self.g.deriv(self.cg)
-
-    @cached_property
-    def cg2(self):
-        return self.g.deriv(self.cg, 2)
-
-    @cached_property
-    def cg3(self):
-        return self.g.deriv(self.cg, 3)
-
-    # dealiased products and their nonlocal images -------------------------
-    @cached_property
-    def p_uu(self):
-        return self.g.mult(self.u, self.u)
-
-    @cached_property
-    def p_ue(self):
-        return self.g.mult(self.u, self.eta)
-
-    @cached_property
-    def p_uh(self):
-        return self.g.mult(self.u, self.bs.h)
-
-    @cached_property
-    def T_uu(self):
-        return self.g.helmholtz_inverse(self.p_uu)
-
-    @cached_property
-    def T_ue(self):
-        return self.g.helmholtz_inverse(self.p_ue)
-
-    @cached_property
-    def T_uh(self):
-        return self.g.helmholtz_inverse(self.p_uh)
-
-    @cached_property
-    def Tdx_uu(self):
-        return self.g.deriv(self.T_uu)
-
-    @cached_property
-    def Tdx_ue(self):
-        return self.g.deriv(self.T_ue)
-
-    @cached_property
-    def Tdx_uh(self):
-        return self.g.deriv(self.T_uh)
-
-    # bottom forcing combinations ------------------------------------------
-    @cached_property
-    def w1(self):
-        return self.p.a1 * self.bs.dt_dxx_h - self.bs.dt_h
-
-    @cached_property
-    def T_w1(self):
-        return self.g.helmholtz_inverse(self.w1)
-
-    @cached_property
-    def Tdx_w1(self):
-        return self.g.deriv(self.T_w1)
-
-    @cached_property
-    def T_dth(self):
-        return self.g.helmholtz_inverse(self.bs.dt_h)
-
-    @cached_property
-    def T_q(self):
-        """T applied to dtt dx h."""
-        return self.g.helmholtz_inverse(self.bs.dtt_dx_h)
-
-    @cached_property
-    def T_q2(self):
-        """T applied to dtt dxx h."""
-        return self.g.helmholtz_inverse(self.bs.dtt_dxx_h)
-
-    # grouped fluxes for the localized energy ------------------------------
-    @cached_property
-    def big_f(self):
-        """F = T(a dxx u + u + u(eta+h))."""
-        return self.g.helmholtz_inverse(self.p.a * self.d2u + self.u + self.p_ue + self.p_uh)
-
-    @cached_property
-    def big_g(self):
-        """G = T(c dxx eta + eta + u^2/2)."""
-        return self.g.helmholtz_inverse(self.p.c * self.d2eta + self.eta + 0.5 * self.p_uu)
+        return gi
 
 
 def _zero_samples(g: Grid) -> BathymetrySamples:
@@ -233,23 +160,25 @@ def _snapof(s: State, snap: _Snap | None, bs=None, p=None) -> _Snap:
 
 def hamiltonian_h(s: State, bs: BathymetrySamples, p: AbcdParams, snap: _Snap | None = None) -> float:
     """H_h = 1/2 int(-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2 (eta + h))."""
-    return 0.5 * s.grid.integrate(_snapof(s, snap, bs, p).energy_density)
+    return 0.5 * _snapof(s, snap, bs, p).over(None)("energy")
 
 
 def hamiltonian_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams,
                            snap: _Snap | None = None) -> dict:
     """The six displayed lines of the forced energy law, term by term."""
-    sp = _snapof(s, snap, bs, p)
-    gi = s.grid.integrate
-    mix = (1.0 + p.c) * sp.eta + 0.5 * sp.u**2
+    gi = _snapof(s, snap, bs, p).over(None)
+
+    def mix(q):  # int ((1 + c) eta + u^2/2) q
+        return (1.0 + p.c) * gi("eta", q) + 0.5 * gi("u", "u", q)
+
     return {
-        "u_qdxh": -p.a * p.c1 * gi(sp.u * bs.dtt_dx_h),
-        "u_T_qdxh": p.c1 * gi((1.0 + p.a + sp.eta + bs.h) * sp.u * sp.T_q),
-        "eta_dth": p.c * gi(sp.eta * bs.dt_h),
-        "deta_dtdxh": p.c * p.a1 * gi(sp.deta * bs.dt_dx_h),
-        "mix_T_dth": (p.a1 - 1.0) * gi(mix * sp.T_dth),
-        "mix_dth": -p.a1 * gi(mix * bs.dt_h),
-        "u2_dth": 0.5 * gi(sp.u**2 * bs.dt_h),
+        "u_qdxh": -p.a * p.c1 * gi("u", "dtt_dx_h"),
+        "u_T_qdxh": p.c1 * ((1.0 + p.a) * gi("u", "T_q") + gi("eta", "u", "T_q") + gi("h", "u", "T_q")),
+        "eta_dth": p.c * gi("eta", "dt_h"),
+        "deta_dtdxh": p.c * p.a1 * gi("deta", "dt_dx_h"),
+        "mix_T_dth": (p.a1 - 1.0) * mix("T_dth"),
+        "mix_dth": -p.a1 * mix("dt_h"),
+        "u2_dth": 0.5 * gi("u", "u", "dt_h"),
     }
 
 
@@ -257,76 +186,57 @@ def hamiltonian_rate_rhs(s, bs, p, snap=None) -> float:
     return float(sum(hamiltonian_rate_terms(s, bs, p, snap).values()))
 
 
-def hamiltonian_rate_rhs_alt(s: State, bs: BathymetrySamples, p: AbcdParams,
-                             snap: _Snap | None = None) -> float:
-    """Pre-integration-by-parts grouping of the same law (cross-check).
-
-    Replaces the two middle-line terms by c * int eta (1 - a1 dxx) dt h;
-    agrees with hamiltonian_rate_rhs up to the quadrature residue of a
-    perfect derivative, which is tiny for localized bottoms.
-    """
-    sp = _snapof(s, snap, bs, p)
-    t = hamiltonian_rate_terms(s, bs, p, sp)
-    line3 = p.c * s.grid.integrate(sp.eta * (bs.dt_h - p.a1 * bs.dt_dxx_h))
-    return float(
-        t["u_qdxh"] + t["u_T_qdxh"] + line3 + t["mix_T_dth"] + t["mix_dth"] + t["u2_dth"]
-    )
-
-
 def momentum(s: State, snap: _Snap | None = None) -> float:
     """P = int(u eta + dx u dx eta), conserved over a flat bottom."""
-    return s.grid.integrate(_snapof(s, snap).momentum_density)
+    return _snapof(s, snap).over(None)("momentum")
 
 
 # -- virial functionals --------------------------------------------------
 
 def virial_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """I = int phi (u eta + dx u dx eta)."""
-    return s.grid.integrate(w.phi * _snapof(s, snap).momentum_density)
+    return _snapof(s, snap).over(w)("phi", "momentum")
 
 
 def virial_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """J = int phi' eta dx u."""
-    sp = _snapof(s, snap)
-    return s.grid.integrate(w.dphi * sp.eta * sp.du)
+    return _snapof(s, snap).over(w)("dphi", "eta", "du")
 
 
 def moving_weight_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi)(u eta + dx u dx eta)."""
     if w.dlam == 0.0:
         return 0.0
-    return s.grid.integrate(w.dt_phi * _snapof(s, snap).momentum_density)
+    return _snapof(s, snap).over(w)("dt_phi", "momentum")
 
 
 def moving_weight_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi') eta dx u."""
     if w.dlam == 0.0:
         return 0.0
-    sp = _snapof(s, snap)
-    return s.grid.integrate(w.dt_dphi * sp.eta * sp.du)
+    return _snapof(s, snap).over(w)("dt_dphi", "eta", "du")
 
 
 def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the I rate law (static-weight part)."""
-    sp = _snapof(s, snap, bs, p)
-    gi = s.grid.integrate
+    gi = _snapof(s, snap, bs, p).over(w)
     return {
-        "du_sq": -0.5 * p.a * gi(w.dphi * sp.du**2),
-        "deta_sq": -0.5 * p.c * gi(w.dphi * sp.deta**2),
-        "u_sq": -(p.a + 0.5) * gi(w.dphi * sp.u**2),
-        "eta_sq": -(p.c + 0.5) * gi(w.dphi * sp.eta**2),
-        "u_Tu": (1.0 + p.a) * gi(w.dphi * sp.u * sp.cf),
-        "eta_Teta": (1.0 + p.c) * gi(w.dphi * sp.eta * sp.cg),
-        "u2_eta": -0.5 * gi(w.dphi * sp.u**2 * sp.eta),
-        "u_Tue": gi(w.dphi * sp.u * sp.T_ue),
-        "eta_Tuu": 0.5 * gi(w.dphi * sp.eta * sp.T_uu),
-        "h_flux": -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2),
-        "u_Tuh": gi(w.dphi * sp.u * sp.T_uh),
-        "eta_Tq2": -p.c1 * gi(w.dphi * sp.eta * sp.T_q2),
-        "u_Tdxw1": -gi(w.dphi * sp.u * sp.Tdx_w1),
-        "eta_q": p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h),
-        "u_w1": gi(w.phi * sp.u * sp.w1),
+        "du_sq": -0.5 * p.a * gi("dphi", "du", "du"),
+        "deta_sq": -0.5 * p.c * gi("dphi", "deta", "deta"),
+        "u_sq": -(p.a + 0.5) * gi("dphi", "u", "u"),
+        "eta_sq": -(p.c + 0.5) * gi("dphi", "eta", "eta"),
+        "u_Tu": (1.0 + p.a) * gi("dphi", "u", "cf"),
+        "eta_Teta": (1.0 + p.c) * gi("dphi", "eta", "cg"),
+        "u2_eta": -0.5 * gi("dphi", "u", "u", "eta"),
+        "u_Tue": gi("dphi", "u", "T_ue"),
+        "eta_Tuu": 0.5 * gi("dphi", "eta", "T_uu"),
+        "h_flux": -0.5 * (gi("dphi", "u", "u", "h") + gi("phi", "dx_h", "u", "u")),
+        "u_Tuh": gi("dphi", "u", "T_uh"),
+        "eta_Tq2": -p.c1 * gi("dphi", "eta", "T_q2"),
+        "u_Tdxw1": -gi("dphi", "u", "Tdx_w1"),
+        "eta_q": p.c1 * gi("phi", "eta", "dtt_dx_h"),
+        "u_w1": gi("phi", "u", "w1"),
     }
 
 
@@ -337,26 +247,25 @@ def virial_rate_I_rhs(s, bs, p, w, snap=None) -> float:
 def virial_rate_J_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the J rate law (static-weight part)."""
-    sp = _snapof(s, snap, bs, p)
-    gi = s.grid.integrate
+    gi = _snapof(s, snap, bs, p).over(w)
     return {
-        "eta_sq": (1.0 + p.c) * gi(w.dphi * sp.eta**2),
-        "deta_sq": -p.c * gi(w.dphi * sp.deta**2),
-        "u_sq": -(1.0 + p.a) * gi(w.dphi * sp.u**2),
-        "du_sq": p.a * gi(w.dphi * sp.du**2),
-        "eta_Teta": -(1.0 + p.c) * gi(w.dphi * sp.eta * sp.cg),
-        "u_Tu": (1.0 + p.a) * gi(w.dphi * sp.u * sp.cf),
-        "u_Tdxu": (1.0 + p.a) * gi(w.d2phi * sp.u * sp.cf1),
-        "eta_sq_w3": 0.5 * p.c * gi(w.d3phi * sp.eta**2),
-        "u2_eta": -0.5 * gi(w.dphi * sp.u**2 * sp.eta),
-        "eta_Tuu": -0.5 * gi(w.dphi * sp.eta * sp.T_uu),
-        "u_Tue": gi(w.dphi * sp.u * sp.T_ue),
-        "u_Tdxue": gi(w.d2phi * sp.u * sp.Tdx_ue),
-        "u2_h": -gi(w.dphi * sp.u**2 * bs.h),
-        "u_Tuh": gi(w.dphi * sp.u * sp.T_uh),
-        "u_Tdxuh": gi(w.d2phi * sp.u * sp.Tdx_uh),
-        "du_Tw1": gi(w.dphi * sp.du * sp.T_w1),
-        "eta_Tq2": p.c1 * gi(w.dphi * sp.eta * sp.T_q2),
+        "eta_sq": (1.0 + p.c) * gi("dphi", "eta", "eta"),
+        "deta_sq": -p.c * gi("dphi", "deta", "deta"),
+        "u_sq": -(1.0 + p.a) * gi("dphi", "u", "u"),
+        "du_sq": p.a * gi("dphi", "du", "du"),
+        "eta_Teta": -(1.0 + p.c) * gi("dphi", "eta", "cg"),
+        "u_Tu": (1.0 + p.a) * gi("dphi", "u", "cf"),
+        "u_Tdxu": (1.0 + p.a) * gi("d2phi", "u", "cf1"),
+        "eta_sq_w3": 0.5 * p.c * gi("d3phi", "eta", "eta"),
+        "u2_eta": -0.5 * gi("dphi", "u", "u", "eta"),
+        "eta_Tuu": -0.5 * gi("dphi", "eta", "T_uu"),
+        "u_Tue": gi("dphi", "u", "T_ue"),
+        "u_Tdxue": gi("d2phi", "u", "Tdx_ue"),
+        "u2_h": -gi("dphi", "u", "u", "h"),
+        "u_Tuh": gi("dphi", "u", "T_uh"),
+        "u_Tdxuh": gi("d2phi", "u", "Tdx_uh"),
+        "du_Tw1": gi("dphi", "du", "T_w1"),
+        "eta_Tq2": p.c1 * gi("dphi", "eta", "T_q2"),
     }
 
 
@@ -366,36 +275,36 @@ def virial_rate_J_rhs(s, bs, p, w, snap=None) -> float:
 
 # -- decomposition of the mixed virial rate ------------------------------
 
-def _grouped_virial_rate(s, bs, p, alpha, w, sp: _Snap) -> dict:
+def _grouped_virial_rate(p, alpha, w, sp: _Snap) -> dict:
     """Q, SQ, NQ and NH of virial_rate_decomposition, without the moving-window parts."""
-    gi = s.grid.integrate
+    gi = sp.over(w)
     a, c = p.a, p.c
 
     q = (
-        ((1.0 + c) * (alpha - 1.0) + 0.5) * gi(w.dphi * sp.eta**2)
-        - c * (alpha + 0.5) * gi(w.dphi * sp.deta**2)
-        + ((1.0 + a) * (-alpha - 1.0) + 0.5) * gi(w.dphi * sp.u**2)
-        + a * (alpha - 0.5) * gi(w.dphi * sp.du**2)
-        + (1.0 + c) * (1.0 - alpha) * gi(w.dphi * sp.eta * sp.cg)
-        + (1.0 + a) * (1.0 + alpha) * gi(w.dphi * sp.u * sp.cf)
+        ((1.0 + c) * (alpha - 1.0) + 0.5) * gi("dphi", "eta", "eta")
+        - c * (alpha + 0.5) * gi("dphi", "deta", "deta")
+        + ((1.0 + a) * (-alpha - 1.0) + 0.5) * gi("dphi", "u", "u")
+        + a * (alpha - 0.5) * gi("dphi", "du", "du")
+        + (1.0 + c) * (1.0 - alpha) * gi("dphi", "eta", "cg")
+        + (1.0 + a) * (1.0 + alpha) * gi("dphi", "u", "cf")
     )
-    sq = alpha * (1.0 + a) * gi(w.d2phi * sp.u * sp.cf1) + 0.5 * alpha * c * gi(w.d3phi * sp.eta**2)
+    sq = alpha * (1.0 + a) * gi("d2phi", "u", "cf1") + 0.5 * alpha * c * gi("d3phi", "eta", "eta")
     nq = (
-        -0.5 * (alpha + 1.0) * gi(w.dphi * sp.u**2 * sp.eta)
-        + 0.5 * (1.0 - alpha) * gi(w.dphi * sp.eta * sp.T_uu)
-        + (alpha + 1.0) * gi(w.dphi * sp.u * sp.T_ue)
-        + alpha * gi(w.d2phi * sp.u * sp.Tdx_ue)
+        -0.5 * (alpha + 1.0) * gi("dphi", "u", "u", "eta")
+        + 0.5 * (1.0 - alpha) * gi("dphi", "eta", "T_uu")
+        + (alpha + 1.0) * gi("dphi", "u", "T_ue")
+        + alpha * gi("d2phi", "u", "Tdx_ue")
     )
     nh = (
-        -0.5 * gi((w.dphi * bs.h + w.phi * bs.dx_h) * sp.u**2)
-        + (1.0 + alpha) * gi(w.dphi * sp.u * sp.T_uh)
-        - alpha * gi(w.dphi * sp.u**2 * bs.h)
-        + alpha * gi(w.d2phi * sp.u * sp.Tdx_uh)
-        + (alpha - 1.0) * p.c1 * gi(w.dphi * sp.eta * sp.T_q2)
-        - gi(w.dphi * sp.u * sp.Tdx_w1)
-        + alpha * gi(w.dphi * sp.du * sp.T_w1)
-        + p.c1 * gi(w.phi * sp.eta * bs.dtt_dx_h)
-        + gi(w.phi * sp.u * sp.w1)
+        -0.5 * (gi("dphi", "u", "u", "h") + gi("phi", "dx_h", "u", "u"))
+        + (1.0 + alpha) * gi("dphi", "u", "T_uh")
+        - alpha * gi("dphi", "u", "u", "h")
+        + alpha * gi("d2phi", "u", "Tdx_uh")
+        + (alpha - 1.0) * p.c1 * gi("dphi", "eta", "T_q2")
+        - gi("dphi", "u", "Tdx_w1")
+        + alpha * gi("dphi", "du", "T_w1")
+        + p.c1 * gi("phi", "eta", "dtt_dx_h")
+        + gi("phi", "u", "w1")
     )
     return {"Q": float(q), "SQ": float(sq), "NQ": float(nq), "NH": float(nh)}
 
@@ -409,25 +318,25 @@ def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
     times the J rate identically."""
     sp = _snapof(s, snap, bs, p)
     return {
-        **_grouped_virial_rate(s, bs, p, alpha, w, sp),
+        **_grouped_virial_rate(p, alpha, w, sp),
         "movingI": moving_weight_I(s, w, sp),
         "movingJ": alpha * moving_weight_J(s, w, sp),
     }
 
 
+# (coefficient, field) pairs of the canonical quadratic form: the phi' weighted
+# main part and the phi''' weighted correction
+_CANON_MAIN = (("A1", "cf"), ("A2", "cf1"), ("A3", "cf2"), ("A4", "cf3"),
+               ("B1", "cg"), ("B2", "cg1"), ("B3", "cg2"), ("B4", "cg3"))
+_CANON_CORR = (("D11", "cf"), ("D12", "cf1"), ("D21", "cg"), ("D22", "cg1"))
+
+
 def quadratic_form_fg(s: State, qc: QuadCoeffs, w: WeightSet,
                       snap: _Snap | None = None) -> float:
     """The leading quadratic part rewritten in canonical variables."""
-    sp = _snapof(s, snap)
-    gi = s.grid.integrate
-    main = gi(
-        w.dphi
-        * (
-            qc.A1 * sp.cf**2 + qc.A2 * sp.cf1**2 + qc.A3 * sp.cf2**2 + qc.A4 * sp.cf3**2
-            + qc.B1 * sp.cg**2 + qc.B2 * sp.cg1**2 + qc.B3 * sp.cg2**2 + qc.B4 * sp.cg3**2
-        )
-    )
-    corr = gi(w.d3phi * (qc.D11 * sp.cf**2 + qc.D12 * sp.cf1**2 + qc.D21 * sp.cg**2 + qc.D22 * sp.cg1**2))
+    gi = _snapof(s, snap).over(w)
+    main = sum(getattr(qc, k) * gi("dphi", f, f) for k, f in _CANON_MAIN)
+    corr = sum(getattr(qc, k) * gi("d3phi", f, f) for k, f in _CANON_CORR)
     return float(main + corr)
 
 
@@ -435,14 +344,10 @@ def quadratic_form_scale(s: State, qc: QuadCoeffs, w: WeightSet,
                          snap: _Snap | None = None) -> float:
     """Sum of absolute contributions, a robust relative-error scale."""
     sp = _snapof(s, snap)
-    gi = s.grid.integrate
-    pieces = [
-        abs(qc.A1) * gi(w.dphi * sp.cf**2), abs(qc.A2) * gi(w.dphi * sp.cf1**2),
-        abs(qc.A3) * gi(w.dphi * sp.cf2**2), abs(qc.A4) * gi(w.dphi * sp.cf3**2),
-        abs(qc.B1) * gi(w.dphi * sp.cg**2), abs(qc.B2) * gi(w.dphi * sp.cg1**2),
-        abs(qc.B3) * gi(w.dphi * sp.cg2**2), abs(qc.B4) * gi(w.dphi * sp.cg3**2),
-        abs(qc.D11) * gi(np.abs(w.d3phi) * sp.cf**2), abs(qc.D12) * gi(np.abs(w.d3phi) * sp.cf1**2),
-        abs(qc.D21) * gi(np.abs(w.d3phi) * sp.cg**2), abs(qc.D22) * gi(np.abs(w.d3phi) * sp.cg1**2),
+    gi = sp.over(w)
+    abs_d3phi = np.abs(w.d3phi)
+    pieces = [abs(getattr(qc, k)) * gi("dphi", f, f) for k, f in _CANON_MAIN] + [
+        abs(getattr(qc, k)) * sp.integrate(abs_d3phi * getattr(sp, f) ** 2) for k, f in _CANON_CORR
     ]
     return float(sum(abs(x) for x in pieces))
 
@@ -453,15 +358,13 @@ def canonical_identity_residuals(s: State, w: WeightSet, snap: _Snap | None = No
     First: int phi' u^2 = int phi' (f^2 + 2 f'^2 + f''^2) - int phi''' f^2.
     Second: int phi' u T u = int phi' (f^2 + f'^2) - 1/2 int phi''' f^2.
     """
-    sp = _snapof(s, snap)
-    gi = s.grid.integrate
-    lhs1 = gi(w.dphi * sp.u**2)
-    rhs1 = gi(w.dphi * (sp.cf**2 + 2.0 * sp.cf1**2 + sp.cf2**2)) - gi(w.d3phi * sp.cf**2)
-    scale1 = max(1.0, abs(lhs1))
-    lhs2 = gi(w.dphi * sp.u * sp.cf)
-    rhs2 = gi(w.dphi * (sp.cf**2 + sp.cf1**2)) - 0.5 * gi(w.d3phi * sp.cf**2)
-    scale2 = max(1.0, abs(lhs2))
-    return abs(lhs1 - rhs1) / scale1, abs(lhs2 - rhs2) / scale2
+    gi = _snapof(s, snap).over(w)
+    f0, f1, w3 = gi("dphi", "cf", "cf"), gi("dphi", "cf1", "cf1"), gi("d3phi", "cf", "cf")
+    lhs1 = gi("dphi", "u", "u")
+    rhs1 = f0 + 2.0 * f1 + gi("dphi", "cf2", "cf2") - w3
+    lhs2 = gi("dphi", "u", "cf")
+    rhs2 = f0 + f1 - 0.5 * w3
+    return abs(lhs1 - rhs1) / max(1.0, abs(lhs1)), abs(lhs2 - rhs2) / max(1.0, abs(lhs2))
 
 
 def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
@@ -474,12 +377,11 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
         h_units    = the bottom-norm and t^{-3/2} unit terms (multiply C)
     so that bound(C, eps) = quad_delta + C * (eps * u2_weight + h_units).
     """
-    sp = _snapof(s, snap, bs)
+    gi = _snapof(s, snap).over(w)
     g = s.grid
-    gi = g.integrate
-    x0 = gi(w.dphi * sp.u**2)
+    x0 = gi("dphi", "u", "u")
     quad = 4.0 * delta * (
-        x0 + gi(w.dphi * sp.du**2) + gi(w.dphi * sp.eta**2) + gi(w.dphi * sp.deta**2)
+        x0 + gi("dphi", "du", "du") + gi("dphi", "eta", "eta") + gi("dphi", "deta", "deta")
     )
     n_dth = g.l2_norm(bs.dt_h)
     n_dtdxh = g.l2_norm(bs.dt_dx_h)
@@ -498,66 +400,57 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
 def local_energy(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                  snap: _Snap | None = None) -> float:
     """E_loc = 1/2 int psi (-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2(eta+h))."""
-    return 0.5 * s.grid.integrate(w.psi * _snapof(s, snap, bs, p).energy_density)
+    return 0.5 * _snapof(s, snap, bs, p).over(w)("psi", "energy")
 
 
 def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                             snap: _Snap | None = None) -> dict:
     """Rate of the localized energy: main line, moving-window part SNL0,
-    commutator part SNL1, bottom part SNLh."""
-    sp = _snapof(s, snap, bs, p)
-    gi = s.grid.integrate
+    commutator part SNL1, bottom part SNLh (0 over a flat bottom)."""
+    gi = _snapof(s, snap, bs, p).over(w)
     a, c = p.a, p.c
 
     main = (
-        gi(w.dpsi * sp.cf * sp.cg)
-        - (1.0 + 2.0 * (a + c)) * gi(w.dpsi * sp.cf1 * sp.cg1)
-        + 3.0 * a * c * gi(w.dpsi * sp.cf2 * sp.cg2)
-        + a * c * gi(w.dpsi * sp.cf3 * sp.cg3)
+        gi("dpsi", "cf", "cg")
+        - (1.0 + 2.0 * (a + c)) * gi("dpsi", "cf1", "cg1")
+        + 3.0 * a * c * gi("dpsi", "cf2", "cg2")
+        + a * c * gi("dpsi", "cf3", "cg3")
     )
 
-    snl0 = 0.0 if w.dlam == 0.0 else 0.5 * gi(w.dt_psi * sp.energy_density)
+    snl0 = 0.0 if w.dlam == 0.0 else 0.5 * gi("dt_psi", "energy")
 
-    T_ueh = sp.T_ue + sp.T_uh
-    Tdx_ueh = sp.Tdx_ue + sp.Tdx_uh
-    dps_du = w.d2psi * sp.du + w.dpsi * sp.d2u      # dx(psi' dx u)
-    dps_deta = w.d2psi * sp.deta + w.dpsi * sp.d2eta  # dx(psi' dx eta)
+    # T_ueh = T(u (eta + h)); the last two lines hold dx(psi' dx u) and dx(psi' dx eta)
     snl1 = (
-        a * (c - 1.0) * gi(w.d2psi * sp.cf2 * sp.cg1)
-        + c * (a - 1.0) * gi(w.d2psi * sp.cf1 * sp.cg2)
-        - a * gi(w.d2psi * sp.cf1 * sp.cg)
-        - c * gi(w.d2psi * sp.cf * sp.cg1)
-        + a * gi(w.d2psi * sp.cf2 * sp.cg1)
-        + c * gi(w.d2psi * sp.cf1 * sp.cg2)
-        + 0.5 * a * gi(w.dpsi * sp.cf2 * sp.T_uu)
-        + 0.5 * gi(w.dpsi * sp.cf * sp.T_uu)
-        + c * gi(w.dpsi * sp.cg2 * T_ueh)
-        + gi(w.dpsi * sp.cg * T_ueh)
-        + 0.5 * gi(w.dpsi * T_ueh * sp.T_uu)
-        - 0.5 * a * gi(w.dpsi * sp.cf3 * sp.Tdx_uu)
-        - 0.5 * gi(w.dpsi * sp.cf1 * sp.Tdx_uu)
-        - c * gi(w.dpsi * sp.cg3 * Tdx_ueh)
-        - gi(w.dpsi * sp.cg1 * Tdx_ueh)
-        - 0.5 * gi(w.dpsi * Tdx_ueh * sp.Tdx_uu)
-        + 0.5 * a * gi(dps_du * sp.T_uu)
-        + c * gi(dps_deta * T_ueh)
+        a * (c - 1.0) * gi("d2psi", "cf2", "cg1")
+        + c * (a - 1.0) * gi("d2psi", "cf1", "cg2")
+        - a * gi("d2psi", "cf1", "cg")
+        - c * gi("d2psi", "cf", "cg1")
+        + a * gi("d2psi", "cf2", "cg1")
+        + c * gi("d2psi", "cf1", "cg2")
+        + 0.5 * a * gi("dpsi", "cf2", "T_uu")
+        + 0.5 * gi("dpsi", "cf", "T_uu")
+        + c * gi("dpsi", "cg2", "T_ueh")
+        + gi("dpsi", "cg", "T_ueh")
+        + 0.5 * gi("dpsi", "T_ueh", "T_uu")
+        - 0.5 * a * gi("dpsi", "cf3", "Tdx_uu")
+        - 0.5 * gi("dpsi", "cf1", "Tdx_uu")
+        - c * gi("dpsi", "cg3", "Tdx_ueh")
+        - gi("dpsi", "cg1", "Tdx_ueh")
+        - 0.5 * gi("dpsi", "Tdx_ueh", "Tdx_uu")
+        + 0.5 * a * (gi("d2psi", "du", "T_uu") + gi("dpsi", "d2u", "T_uu"))
+        + c * (gi("d2psi", "deta", "T_ueh") + gi("dpsi", "d2eta", "T_ueh"))
     )
-    snl1 += a * p.c1 * gi(w.dpsi * sp.du * sp.T_q) + c * gi(w.dpsi * sp.deta * sp.T_w1)
+    snl1 += a * p.c1 * gi("dpsi", "du", "T_q") + c * gi("dpsi", "deta", "T_w1")
 
-    # F and G cost four transforms and meet only bottom factors here, so
-    # over a flat bottom SNLh is 0 without them
-    if bs.zero:
-        snlh = 0.0
-    else:
-        snlh = (
-            0.5 * gi(w.psi * sp.u**2 * bs.dt_h)
-            + p.c1 * gi(w.psi * sp.big_f * bs.dtt_dx_h)
-            + gi(w.psi * sp.big_g * sp.w1)
-            - p.c1 * gi(w.d2psi * sp.big_f * sp.T_q)
-            - 2.0 * p.c1 * gi(w.dpsi * sp.big_f * sp.T_q2)
-            - gi(w.d2psi * sp.big_g * sp.T_w1)
-            - 2.0 * gi(w.dpsi * sp.big_g * sp.Tdx_w1)
-        )
+    snlh = (
+        0.5 * gi("psi", "u", "u", "dt_h")
+        + p.c1 * gi("psi", "big_f", "dtt_dx_h")
+        + gi("psi", "big_g", "w1")
+        - p.c1 * gi("d2psi", "big_f", "T_q")
+        - 2.0 * p.c1 * gi("dpsi", "big_f", "T_q2")
+        - gi("d2psi", "big_g", "T_w1")
+        - 2.0 * gi("dpsi", "big_g", "Tdx_w1")
+    )
     return {"main": float(main), "snl0": float(snl0), "snl1": float(snl1), "snlh": float(snlh)}
 
 
@@ -569,14 +462,14 @@ def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
 
 def windowed_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """int sech^2(x/lam) (u^2 + eta^2 + (dx u)^2 + (dx eta)^2)."""
-    sech2 = 1.0 / np.cosh(s.grid.x / lam) ** 2
-    return s.grid.integrate(sech2 * _snapof(s, snap).h1_density)
+    sp = _snapof(s, snap)
+    return sp.integrate(1.0 / np.cosh(s.grid.x / lam) ** 2 * sp.h1)
 
 
 def interval_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """Same local H1 density integrated over the plain interval |x| <= lam."""
-    mask = (np.abs(s.grid.x) <= lam).astype(float)
-    return s.grid.integrate(mask * _snapof(s, snap).h1_density)
+    sp = _snapof(s, snap)
+    return sp.integrate((np.abs(s.grid.x) <= lam).astype(float) * sp.h1)
 
 
 class _RunningTrapezoid:
@@ -740,7 +633,7 @@ class DiagnosticsEngine:
             rec.moving_j = moving_weight_J(state, w, sp)
             rec.virial_i_rate = rate_i + rec.moving_i
             rec.virial_j_rate = rate_j + rec.moving_j
-            dec = _grouped_virial_rate(state, bs, p, alpha, w, sp)
+            dec = _grouped_virial_rate(p, alpha, w, sp)
             rec.q_part, rec.sq_part = dec["Q"], dec["SQ"]
             rec.nq_part, rec.nh_part = dec["NQ"], dec["NH"]
             grouped = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"]

@@ -12,13 +12,16 @@ bottom derivatives enter as analytic samples, so no spectral derivative
 of h is ever taken.
 
 `run` carries the rfft coefficients of (u, eta) from step to step and
-builds a physical State only at snapshots.  `rhs` and `step_rk4` are
-physical-space adapters over the same kernel.
+builds a physical State only at snapshots; that State carries the
+coefficients too, so an observer needs no forward transform of u or
+eta.  `rhs` and `step_rk4` are physical-space adapters over the same
+kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,19 +65,44 @@ class NonFinite(SimulationAbort):
 
 @dataclass
 class State:
-    """Surface displacement eta and velocity u on a grid at time t."""
+    """Surface displacement eta and velocity u on a grid at time t.
+
+    eta and u are read-only copies, and rebinding either drops the
+    cached coefficients, so `coeffs` always describes the fields.
+    """
 
     grid: Grid
     eta: np.ndarray
     u: np.ndarray
     t: float
 
-    def __post_init__(self):
-        self.eta = np.asarray(self.grid.check(self.eta), dtype=float)
-        self.u = np.asarray(self.grid.check(self.u), dtype=float)
+    def __setattr__(self, name, value):
+        if name in ("eta", "u"):
+            value = np.array(self.grid.check(value), dtype=float)
+            value.flags.writeable = False
+            self.__dict__.pop("coeffs", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """Stacked rfft coefficients (u_hat, eta_hat), read-only.
+
+        A State built by `run` carries them; a hand-built one computes
+        them with one stacked transform on first use.
+        """
+        y = np.fft.rfft(np.stack((self.u, self.eta)))
+        y.flags.writeable = False
+        return y
 
     def copy(self) -> "State":
-        return State(self.grid, self.eta.copy(), self.u.copy(), self.t)
+        return _carrying(State(self.grid, self.eta, self.u, self.t), self.coeffs)
+
+
+def _carrying(s: State, y) -> State:
+    """s with its stacked coefficients y frozen in place of the first-use transform."""
+    y.flags.writeable = False
+    s.__dict__["coeffs"] = y
+    return s
 
 
 def _h1_norm(g: Grid, y) -> float:
@@ -87,19 +115,13 @@ def _h1_norm(g: Grid, y) -> float:
 
 def state_h1_norm(s: State) -> float:
     """H1 x H1 norm of (eta, u), computed spectrally."""
-    return _h1_norm(s.grid, _hat(s))
-
-
-def _hat(s: State):
-    """Stacked rfft coefficients (u_hat, eta_hat) of a state."""
-    g = s.grid
-    return np.stack((g.hat(s.u), g.hat(s.eta)))
+    return _h1_norm(s.grid, s.coeffs)
 
 
 def _state(g: Grid, y, t: float) -> State:
-    """Physical state at time t from the stacked coefficients (u_hat, eta_hat)."""
+    """Physical state at time t carrying the stacked coefficients (u_hat, eta_hat)."""
     u, eta = g.from_hat(y)
-    return State(g, eta, u, t)
+    return _carrying(State(g, eta, u, t), y)
 
 
 def _bottom_spectra(g: Grid, p: AbcdParams, h, dt_h, dt_dxx_h, dtt_dx_h):
@@ -166,7 +188,7 @@ def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
         raise ValueError("state and bathymetry samples live on different grids")
     bottom = (None, None) if bs.zero else _bottom_spectra(
         g, p, bs.h, bs.dt_h, bs.dt_dxx_h, bs.dtt_dx_h)
-    du, deta = g.from_hat(_Kernel(g, p)(_hat(s), *bottom))
+    du, deta = g.from_hat(_Kernel(g, p)(s.coeffs, *bottom))
     return deta, du
 
 
@@ -187,7 +209,7 @@ def max_group_speed(p: AbcdParams, g: Grid) -> float:
 def step_rk4(s: State, dt: float, b: Bathymetry, p: AbcdParams) -> State:
     """One classical Runge-Kutta step of size dt (dt may be negative)."""
     g = s.grid
-    y = _Kernel(g, p).step(_hat(s), s.t, dt, _bottom_at(b, g, p))
+    y = _Kernel(g, p).step(s.coeffs, s.t, dt, _bottom_at(b, g, p))
     return _state(g, y, s.t + dt)
 
 
@@ -253,8 +275,8 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
     kernel = _Kernel(g, cfg.params)
     bottom = _bottom_at(cfg.bathymetry, g, cfg.params)
 
-    s = State(g, np.array(cfg.eta0, dtype=float), np.array(cfg.u0, dtype=float), cfg.t_start)
-    y = _hat(s)
+    s = State(g, cfg.eta0, cfg.u0, cfg.t_start)
+    y = s.coeffs
     norm0 = _h1_norm(g, y)
 
     result = RunResult(final_state=s)

@@ -30,7 +30,6 @@ __all__ = [
     "window_scale_rate",
     "weight_set",
     "scheduled_weights",
-    "uniform_psi_weights",
 ]
 
 T_MIN = 11.0
@@ -115,16 +114,3 @@ def scheduled_weights(grid: Grid, t: float) -> WeightSet:
     """WeightSet at the scheduled window scale lambda(t), moving."""
     return weight_set(grid, window_scale(t), window_scale_rate(t))
 
-
-def uniform_psi_weights(grid: Grid) -> WeightSet:
-    """The lambda -> infinity limit: psi = 1 and phi = 0, all static.
-
-    Useful for checking that the localized energy degenerates to the
-    global one when the window is removed.
-    """
-    z = np.zeros(grid.N)
-    return WeightSet(
-        lam=math.inf, dlam=0.0,
-        phi=z, dphi=z, d2phi=z, d3phi=z, dt_phi=z, dt_dphi=z,
-        psi=np.ones(grid.N), dpsi=z, d2psi=z, dt_psi=z,
-    )

@@ -307,6 +307,17 @@ class TestErrorPaths:
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        _region_text(a_max=-1.5),
+        IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 0.0605"),
+    ], ids=["reversed-region", "partial-step"])
+    def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, text):
+        out = tmp_path / "never"
+        cfg = _write_cfg(tmp_path, text, out=out)
+        assert main(["run", cfg]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blowup_aborts_with_exit_2(self, tmp_path, capsys):
         text = IDENTITY_TEXT.replace(
             "[diagnostics]",

@@ -21,6 +21,7 @@ from abcdsim import (
     window_scale,
     zero_pair,
 )
+from abcdsim.bathymetry import Bathymetry
 from abcdsim.diagnostics import (
     DiagnosticsRecord,
     canonical_identity_residuals,
@@ -28,7 +29,6 @@ from abcdsim.diagnostics import (
     fd5_derivative,
     hamiltonian_h,
     hamiltonian_rate_rhs,
-    hamiltonian_rate_rhs_alt,
     hamiltonian_rate_terms,
     interval_h1,
     local_energy,
@@ -49,7 +49,7 @@ from abcdsim.diagnostics import (
     windowed_h1,
 )
 from abcdsim.solver import state_h1_norm
-from abcdsim.weights import uniform_psi_weights
+from oracles import hamiltonian_rate_rhs_alt, uniform_psi_weights
 
 CORNER = AbcdParams(a=-1.0, c=-1.0)
 
@@ -386,6 +386,51 @@ class TestEngine:
             eng.observe(State(grid40, eta, u, t))
         with pytest.raises(ValueError):
             eng.rate_residuals()
+
+
+class TestObserveCost:
+    """Transforms, grid checks and bottom samples of one `observe` on the
+    States `run` hands over."""
+
+    P = AbcdParams(a=-1.0, c=-1.0, a1=0.3, c1=0.56)
+
+    @pytest.mark.parametrize("bottom, mode, t_start, transforms", [
+        (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0, 3),
+        (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0, 4),
+    ], ids=["flat-fixed", "bump-schedule"])
+    def test_counts_per_observe(self, bottom, mode, t_start, transforms, monkeypatch):
+        g = Grid(40 * np.pi, 256)
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        states = []
+        run(SimConfig(params=self.P, bathymetry=bottom, grid=g, eta0=eta, u0=u, dt=1e-3,
+                      t_start=t_start, t_end=t_start + 0.02, snapshot_every=5),
+            observer=states.append)
+        eng = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
+
+        calls, forward = {}, []
+
+        def counting(fn, key, inputs=None):
+            def wrapped(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                if inputs is not None:
+                    inputs.append(np.atleast_2d(args[0]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft", forward))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
+        monkeypatch.setattr(Grid, "check", counting(Grid.check, "check"))
+        monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
+        for s in states:
+            calls.clear()
+            forward.clear()
+            eng.observe(s)
+            assert calls["fft"] == transforms, s.t
+            assert calls.get("check", 0) <= 1
+            assert calls["sample"] == 1
+            # no forward transform of u or eta: run handed over their coefficients
+            rows = [r for f in forward for r in f]
+            assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for r in rows)
 
 
 class TestEngineMatchesPublicFunctions:

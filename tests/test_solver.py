@@ -395,3 +395,60 @@ class TestStepCost:
             assert calls["sample"] == 0
             totals.append(calls["fft"])
         assert totals[1] - totals[0] == 8 * 20
+
+
+class TestStateCoefficients:
+    def _snapshots(self, grid):
+        p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        seen = []
+        res = run(SimConfig(params=p, bathymetry=decaying_bump(1e-3, width=1.0), grid=grid,
+                            eta0=eta0, u0=u0, dt=1e-2, t_end=0.1, snapshot_every=2),
+                  observer=seen.append)
+        return seen, res
+
+    def test_run_hands_over_states_carrying_their_coefficients(self, grid, monkeypatch):
+        seen, res = self._snapshots(grid)
+        forward = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+        carried = [s.coeffs for s in seen + [res.final_state]]
+        assert forward == []  # carried, not transformed again
+        for s, y in zip(seen, carried):
+            want = rfft(np.stack((s.u, s.eta)))
+            assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_writing_into_a_state_raises(self, grid):
+        eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
+        seen, _ = self._snapshots(grid)
+        for s in (seen[-1], State(grid, eta, u, 0.0)):
+            y = s.coeffs
+            with pytest.raises(ValueError):
+                s.eta[0] = 1.0
+            with pytest.raises(ValueError):
+                s.u += 1.0
+            with pytest.raises(ValueError):
+                y[0, 1] = 0.0
+        # the caller's arrays are copied, so writing into them is fine and unseen
+        s = State(grid, eta, u, 0.0)
+        before = s.coeffs.copy()
+        eta[:] = 0.0
+        npt.assert_array_equal(s.coeffs, before)
+        assert np.any(s.eta != 0.0)
+
+    def test_rebinding_a_field_drops_the_coefficients(self, grid):
+        seen, _ = self._snapshots(grid)
+        s = seen[-1]
+        s.eta = 2.0 * s.eta
+        want = np.stack((np.fft.rfft(s.u), np.fft.rfft(s.eta)))
+        npt.assert_allclose(s.coeffs, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_copy_carries_the_coefficients(self, grid):
+        seen, _ = self._snapshots(grid)
+        s = seen[-1]
+        c = s.copy()
+        assert c.coeffs is s.coeffs
+        assert c.eta is not s.eta and c.u is not s.u
+        npt.assert_array_equal(c.eta, s.eta)
+        npt.assert_array_equal(c.u, s.u)
+        assert c.t == s.t

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from abcdsim import Grid, T_MIN, WeightSet, scheduled_weights, weight_set, window_scale, window_scale_rate
-from abcdsim.weights import uniform_psi_weights
+from oracles import uniform_psi_weights
 
 
 def _fd(f, t, tau=1e-5):
