@@ -23,8 +23,11 @@ __all__ = [
     "satisfies_refined_dispersion",
     "refined_margin",
     "quadratic_coeffs",
+    "admissible_alphas",
     "find_admissible_alpha",
 ]
+
+_BLOCK = 8192  # alpha values per quadratic_coeffs call of the search; a wider window goes alone
 
 # split point of the refined family, -(19 + sqrt(181))/90, about -0.36059
 REFINED_SPLIT = -(19.0 + math.sqrt(181.0)) / 90.0
@@ -128,42 +131,54 @@ def quadratic_coeffs(a: float, c: float, alpha: float) -> QuadCoeffs:
     )
 
 
-def find_admissible_alpha(a: float, c: float, span: float = 4.0, step: float = 1e-3):
+def _window_search(a, c, width: int, n: int, step: float):
+    """admissible_alphas for cells whose windows span 2 * width + 1 grid points.
+
+    The six are lines in alpha: A2, A3, A4 fall and B2, B3, B4 rise, so their
+    minimum is concave and peaks at alpha* = max over rising i of min over
+    falling j of the crossings alpha_ij; the window is centred on alpha*.
+    """
+    # each coefficient is the line v0 + s * alpha, (v0, s) read off at alpha = 0 and 1
+    v0, v1 = (np.array([q.A2, q.A3, q.A4, q.B2, q.B3, q.B4])
+              for q in (quadratic_coeffs(a, c, 0.0), quadratic_coeffs(a, c, 1.0)))
+    s = v1 - v0
+    peak = ((v0[:3, None] - v0[None, 3:]) / (s[None, 3:] - s[:3, None])).min(axis=0).max(axis=0)
+    k0 = np.rint(np.clip(peak / step, -n, n)).astype(int) * (width < n)  # width n: the whole grid
+    k = k0[:, None] + np.arange(-width, width + 1)
+    al = k * step
+    worst = quadratic_coeffs(a[:, None], c[:, None], al).min_main()
+    ok = (np.abs(k) <= n) & (worst >= 0.0)
+    best = np.where(ok, worst, -np.inf).max(axis=1)
+    pick = np.where(ok & (worst >= best[:, None] - 1e-15), np.abs(al), np.inf).argmin(axis=1)
+    return np.where(best >= 0, al[np.arange(a.size), pick], np.nan), np.where(best >= 0, best, np.nan)
+
+
+def admissible_alphas(a, c, span: float = 4.0, step: float = 1e-3):
     """Search the grid k * step, |k| <= span / step, for nonnegative leading coefficients.
 
-    Maximizes min(A2, A3, A4, B2, B3, B4) subject to all six >= 0; ties
-    are broken toward the smallest |alpha|, and a tie between -alpha and
-    +alpha goes to -alpha, the first in grid order.  Returns (alpha,
-    margin) or None when no grid alpha qualifies.
-
-    The six are lines in alpha: A2, A3, A4 fall and B2, B3, B4 rise, so
-    their minimum is concave and peaks at alpha* = max over rising i of
-    min over falling j of the crossings alpha_ij.  Only the grid points
-    within w steps of alpha* are evaluated, where w covers every point
-    that rounding could bring into the tie band, so the result is that
-    of evaluating the whole grid.
+    Per cell (a[i], c[i]), maximizes min(A2, A3, A4, B2, B3, B4) subject to all
+    six >= 0; a tie (within 1e-15) goes to the smallest |alpha|, and between -alpha
+    and +alpha to -alpha, the first in grid order.  Returns the arrays (alpha,
+    margin), NaN where no grid alpha qualifies.  Only the grid points rounding could
+    bring into the tie band are evaluated, so the result is that of the whole grid.
     """
-    if not (a < 0.0 and c < 0.0):
-        raise ValueError(f"leading-coefficient scan needs a < 0 and c < 0, got a={a}, c={c}")
+    a, c = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, c))
+    for i in np.flatnonzero(~((a < 0.0) & (c < 0.0)))[:1]:  # the first cell off the domain
+        raise ValueError(f"leading-coefficient scan needs a < 0 and c < 0, got a={a[i]}, c={c[i]}")
     # integer-scaled grid so that 0 (and the endpoints) are hit exactly
     n = int(round(span / step))
-    # each coefficient is the line v0 + s * alpha, (v0, s) read off at alpha = 0 and 1
-    q0, q1 = quadratic_coeffs(a, c, 0.0), quadratic_coeffs(a, c, 1.0)
-    falling, rising = ("A2", "A3", "A4"), ("B2", "B3", "B4")
-    line = {k: (getattr(q0, k), getattr(q1, k) - getattr(q0, k)) for k in falling + rising}
-    peak = max(min((line[f][0] - line[r][0]) / (line[r][1] - line[f][1]) for f in falling)
-               for r in rising)
-    # one step off the peak lowers the minimum by at least min(|a|, |c|, 1) * step;
-    # w = 2n takes in the whole grid (and keeps w finite for subnormal a or c)
-    w = 2 + math.ceil(min(1e-12 / step / min(-a, -c, 1.0), 2 * n))
-    k0 = int(round(min(max(peak / step, -n), n)))
-    al = np.arange(max(k0 - w, -n), min(k0 + w, n) + 1) * step
-    worst = quadratic_coeffs(a, c, al).min_main()
-    ok = worst >= 0.0
-    if not np.any(ok):
-        return None
-    best = float(np.max(worst[ok]))
-    tied = ok & (worst >= best - 1e-15)
-    cand = al[tied]
-    alpha = float(cand[np.argmin(np.abs(cand))])
-    return alpha, best
+    # one step off the peak lowers the minimum by at least m * step, m = min(|a|, |c|, 1);
+    # a window at least n wide becomes the whole grid (w = n), which is never more points
+    w = np.minimum(2 + np.ceil(1e-12 / step / np.clip(np.minimum(-a, -c), 1e-300, 1.0)), n)
+    alpha, margin = np.full(a.size, np.nan), np.full(a.size, np.nan)
+    for width in np.unique(w).astype(int):
+        cells = np.flatnonzero(w == width)
+        for idx in np.split(cells, range(0, cells.size, max(1, _BLOCK // (2 * width + 1)))[1:]):
+            alpha[idx], margin[idx] = _window_search(a[idx], c[idx], width, n, step)
+    return alpha, margin
+
+
+def find_admissible_alpha(a: float, c: float, span: float = 4.0, step: float = 1e-3):
+    """`admissible_alphas` for one cell: (alpha, margin), or None when no grid alpha qualifies."""
+    alpha, margin = admissible_alphas(a, c, span, step)
+    return None if np.isnan(alpha[0]) else (float(alpha[0]), float(margin[0]))

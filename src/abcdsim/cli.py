@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .bathymetry import hypothesis_report
-from .classifier import find_admissible_alpha, satisfies_refined_dispersion
+from .classifier import admissible_alphas, satisfies_refined_dispersion
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -326,12 +326,12 @@ def _run_region_map(cfg: ExperimentConfig, outdir: str) -> int:
                 accepted, branch, margin = v.accepted, v.branch, v.margin
             except ValueError:
                 accepted, branch, margin = False, "domain-violation", math.nan
-            alpha_cell = ""
-            if r.with_alpha and branch != "domain-violation":
-                found = find_admissible_alpha(float(a), float(c))
-                if found is not None:
-                    alpha_cell = fmt_float(found[0])
-            rows.append([float(a), float(c), accepted, branch, margin, alpha_cell])
+            rows.append([float(a), float(c), accepted, branch, margin, ""])
+    if r.with_alpha:  # one array search over every cell inside the domain
+        inside = [row for row in rows if row[3] != "domain-violation"]
+        alphas, _ = admissible_alphas([row[0] for row in inside], [row[1] for row in inside])
+        for row, alpha in zip(inside, alphas.tolist()):
+            row[5] = "" if math.isnan(alpha) else fmt_float(alpha)
     _write_csv(os.path.join(outdir, "region_map.csv"),
                ["a", "c", "accepted", "branch", "margin", "alpha_if_any"], rows)
     n_acc = sum(1 for row in rows if row[2])

@@ -66,7 +66,9 @@ class _Snap:
     the 3/2 fine grid and back for the dealiased products u^2 and u eta
     (and u h), over a bump one stacked rfft of the sampled bottom fields,
     and one stacked irfft of the whole ladder of derivatives and T
-    images.  Over a flat bottom every bottom field is None.
+    images.  Over a flat bottom every bottom field is None.  With
+    ladder=False only u, eta, their first derivatives (one stacked irfft)
+    and the densities momentum, h1 and energy are built.
     """
 
     _UV = ("du", "d2u", "cf", "cf1", "cf2", "cf3", "deta", "d2eta", "cg", "cg1", "cg2", "cg3")
@@ -74,13 +76,26 @@ class _Snap:
     _BOTTOM = ("T_w1", "Tdx_w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
     _SAMPLED = ("h", "dx_h", "dt_h", "dt_dx_h", "dtt_dx_h")
 
-    def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams | None):
+    def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams | None, ladder=True):
         g = state.grid
         if not g.compatible(bs.grid):
             raise ValueError("state and bathymetry samples live on different grids")
         self.g = g
         self._table: dict = {}
         self._bound: dict = {}
+        self.u, self.eta = u, eta = state.u, state.eta
+        if ladder:
+            self._build_ladder(state, bs, p)
+        else:
+            self.du, self.deta = g.from_hat(state.coeffs * g._ik)
+        du, deta = self.du, self.deta
+        self.momentum = u * eta + du * deta
+        self.h1 = u**2 + eta**2 + du**2 + deta**2
+        if p is not None:
+            self.energy = -p.a * du**2 - p.c * deta**2 + u**2 + eta**2 + u**2 * (eta + bs.h)
+
+    def _build_ladder(self, state: State, bs: BathymetrySamples, p: AbcdParams | None):
+        g = self.g
         ik, d2, helm = g._ik, -g.k2, g._helm
         y = state.coeffs
         if not bs.zero:
@@ -102,18 +117,12 @@ class _Snap:
             )))
             names += self._BOTTOM
         self.__dict__.update(zip(names, g.from_hat(np.concatenate(rows))))
-        self.u, self.eta = u, eta = state.u, state.eta
         if bs.zero:
             self.__dict__.update(dict.fromkeys(self._SAMPLED + self._PRODUCTS[4:] + self._BOTTOM + ("w1",)))
             self.T_ueh, self.Tdx_ueh = self.T_ue, self.Tdx_ue
         else:
             self.__dict__.update({k: getattr(bs, k) for k in self._SAMPLED}, w1=w1)
             self.T_ueh, self.Tdx_ueh = self.T_ue + self.T_uh, self.Tdx_ue + self.Tdx_uh
-        du, deta = self.du, self.deta
-        self.momentum = u * eta + du * deta
-        self.h1 = u**2 + eta**2 + du**2 + deta**2
-        if p is not None:
-            self.energy = -p.a * du**2 - p.c * deta**2 + u**2 + eta**2 + u**2 * (eta + bs.h)
 
     def integrate(self, values) -> float:
         """Rectangle rule of a field of this snapshot's grid."""
@@ -149,18 +158,20 @@ def _zero_samples(g: Grid) -> BathymetrySamples:
     return flat_bottom().sample(g, 0.0)
 
 
-def _snapof(s: State, snap: _Snap | None, bs=None, p=None) -> _Snap:
-    """The caller's scratch, or a fresh one (over a flat bottom if bs is not given)."""
+def _snapof(s: State, snap: _Snap | None, bs=None, p=None, ladder=True) -> _Snap:
+    """The caller's scratch, or a fresh one (over a flat bottom if bs is not given);
+    ladder=False for a caller that reads only u, eta, their first derivatives
+    and the densities built from them."""
     if snap is not None:
         return snap
-    return _Snap(s, _zero_samples(s.grid) if bs is None else bs, p)
+    return _Snap(s, _zero_samples(s.grid) if bs is None else bs, p, ladder)
 
 
 # -- global functionals --------------------------------------------------
 
 def hamiltonian_h(s: State, bs: BathymetrySamples, p: AbcdParams, snap: _Snap | None = None) -> float:
     """H_h = 1/2 int(-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2 (eta + h))."""
-    return 0.5 * _snapof(s, snap, bs, p).over(None)("energy")
+    return 0.5 * _snapof(s, snap, bs, p, ladder=False).over(None)("energy")
 
 
 def hamiltonian_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams,
@@ -188,33 +199,33 @@ def hamiltonian_rate_rhs(s, bs, p, snap=None) -> float:
 
 def momentum(s: State, snap: _Snap | None = None) -> float:
     """P = int(u eta + dx u dx eta), conserved over a flat bottom."""
-    return _snapof(s, snap).over(None)("momentum")
+    return _snapof(s, snap, ladder=False).over(None)("momentum")
 
 
 # -- virial functionals --------------------------------------------------
 
 def virial_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """I = int phi (u eta + dx u dx eta)."""
-    return _snapof(s, snap).over(w)("phi", "momentum")
+    return _snapof(s, snap, ladder=False).over(w)("phi", "momentum")
 
 
 def virial_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """J = int phi' eta dx u."""
-    return _snapof(s, snap).over(w)("dphi", "eta", "du")
+    return _snapof(s, snap, ladder=False).over(w)("dphi", "eta", "du")
 
 
 def moving_weight_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi)(u eta + dx u dx eta)."""
     if w.dlam == 0.0:
         return 0.0
-    return _snapof(s, snap).over(w)("dt_phi", "momentum")
+    return _snapof(s, snap, ladder=False).over(w)("dt_phi", "momentum")
 
 
 def moving_weight_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi') eta dx u."""
     if w.dlam == 0.0:
         return 0.0
-    return _snapof(s, snap).over(w)("dt_dphi", "eta", "du")
+    return _snapof(s, snap, ladder=False).over(w)("dt_dphi", "eta", "du")
 
 
 def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
@@ -400,7 +411,7 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
 def local_energy(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                  snap: _Snap | None = None) -> float:
     """E_loc = 1/2 int psi (-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2(eta+h))."""
-    return 0.5 * _snapof(s, snap, bs, p).over(w)("psi", "energy")
+    return 0.5 * _snapof(s, snap, bs, p, ladder=False).over(w)("psi", "energy")
 
 
 def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
@@ -462,13 +473,13 @@ def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
 
 def windowed_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """int sech^2(x/lam) (u^2 + eta^2 + (dx u)^2 + (dx eta)^2)."""
-    sp = _snapof(s, snap)
+    sp = _snapof(s, snap, ladder=False)
     return sp.integrate(1.0 / np.cosh(s.grid.x / lam) ** 2 * sp.h1)
 
 
 def interval_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """Same local H1 density integrated over the plain interval |x| <= lam."""
-    sp = _snapof(s, snap)
+    sp = _snapof(s, snap, ladder=False)
     return sp.integrate((np.abs(s.grid.x) <= lam).astype(float) * sp.h1)
 
 
@@ -509,7 +520,7 @@ def decay_metrics(states: list, alpha: float = 0.0) -> DecaySeries:
     ts, lams, wins, ints, runs, hcals = [], [], [], [], [], []
     running = _RunningTrapezoid()
     for st in states:
-        sp = _snapof(st, None)
+        sp = _snapof(st, None, ladder=False)
         w = scheduled_weights(st.grid, st.t)
         ts.append(st.t)
         lams.append(w.lam)

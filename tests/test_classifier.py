@@ -11,6 +11,7 @@ import pytest
 
 from abcdsim import (
     QuadCoeffs,
+    admissible_alphas,
     classifier,
     find_admissible_alpha,
     quadratic_coeffs,
@@ -305,3 +306,85 @@ class TestAlphaBracket:
             evaluated.append(0)
             find_admissible_alpha(a, c)
         assert 1 <= min(evaluated) and max(evaluated) <= 16
+
+
+def _log_uniform_cells(seed, size):
+    mags = 10.0 ** np.random.default_rng(seed).uniform(-12.0, math.log10(30.0), size=(size, 2))
+    return [(-float(a), -float(c)) for a, c in mags]
+
+
+def _wide_cells():
+    # min(|a|, |c|) below 1e-9 widens the window past 3 steps; subnormal a or c
+    # takes in the whole grid
+    rng = np.random.default_rng(11)
+    tiny = 10.0 ** rng.uniform(-16.0, -9.0, size=200)
+    other = 10.0 ** rng.uniform(-16.0, math.log10(30.0), size=200)
+    cells = [(-float(t), -float(o)) for t, o in zip(tiny, other)]
+    subnormal = [(-5e-324, -0.5), (-1e-320, -0.5), (-5e-324, -5e-324), (-1e-310, -1e-310)]
+    return cells + [(c, a) for a, c in cells + subnormal] + subnormal
+
+
+def _assert_array_matches_full_scan(cells, **grid):
+    alpha, margin = admissible_alphas([a for a, _ in cells], [c for _, c in cells], **grid)
+    assert alpha.shape == margin.shape == (len(cells),)
+    npt.assert_array_equal(np.isnan(alpha), np.isnan(margin))
+    got = [None if math.isnan(al) else (al, m) for al, m in zip(alpha.tolist(), margin.tolist())]
+    bad = [cell for cell, g in zip(cells, got) if g != _full_scan(*cell, **grid)]
+    assert not bad, f"{len(bad)} of {len(cells)} cells differ, first {bad[:3]}"
+
+
+class TestAlphaArraySearch:
+    """One array search over a whole cell set returns, cell by cell, what the dense scan returns."""
+
+    @pytest.mark.parametrize("cells", [
+        _shipped_cells, lambda: _offset_cells(0), lambda: _offset_cells(7919),
+        lambda: _log_uniform_cells(20190127, 20000), _wide_cells,
+        lambda: [(-0.5, -0.5), (-0.25, -0.75), (-0.75, -0.25)],
+    ], ids=["shipped", "offset-0", "offset-7919", "log-uniform", "wide", "peak-on-grid"])
+    def test_default_grid(self, cells):
+        _assert_array_matches_full_scan(cells())
+
+    def test_clipped_span_and_other_step(self):
+        _assert_array_matches_full_scan([(-0.75, -0.25), (-0.25, -0.75), (-0.5, -0.25)], span=0.1)
+        cells = _shipped_cells()[::7] + _log_uniform_cells(7, 2000)
+        _assert_array_matches_full_scan(cells, span=1.0, step=3e-3)
+
+    def test_normal_wide_and_subnormal_cells_in_one_array(self):
+        cells = _shipped_cells()[::37] + _wide_cells()[::3] + [(-1.0 / 48.0, -1.0 / 48.0)]
+        cells = [cells[i] for i in np.random.default_rng(3).permutation(len(cells))]
+        assert any(min(-a, -c) < 1e-300 for a, c in cells)
+        _assert_array_matches_full_scan(cells)
+
+    def test_no_grid_alpha_gives_nan(self):
+        alpha, margin = admissible_alphas([-1.0 / 48.0, -1.0], [-1.0 / 48.0, -1.0])
+        assert np.isnan(alpha[0]) and np.isnan(margin[0])
+        assert (alpha[1], margin[1]) == find_admissible_alpha(-1.0, -1.0)
+
+    def test_empty_and_off_domain_arrays(self):
+        alpha, margin = admissible_alphas([], [])
+        assert alpha.shape == margin.shape == (0,)
+        with pytest.raises(ValueError, match="a=0.0, c=-0.5"):
+            admissible_alphas([-1.0, 0.0], [-1.0, -0.5])
+
+    def test_evaluates_a_handful_of_grid_points_per_cell_in_blocks(self, monkeypatch):
+        # every coefficient goes through quadratic_coeffs; the broadcast size of
+        # each call is the number of (cell, alpha) pairs it evaluates
+        sizes = []
+
+        def counting(a, c, alpha):
+            sizes.append(np.broadcast(a, c, alpha).size)
+            return quadratic_coeffs(a, c, alpha)
+
+        monkeypatch.setattr(classifier, "quadratic_coeffs", counting)
+        cells = _shipped_cells()
+        admissible_alphas([a for a, _ in cells], [c for _, c in cells])
+        assert sum(sizes) <= 16 * len(cells)
+        assert max(sizes) <= 8192
+        sizes.clear()
+        cells += _wide_cells()
+        admissible_alphas([a for a, _ in cells], [c for _, c in cells])
+        assert max(sizes) <= 8192
+        # a window as wide as the grid is a block of its own: the whole grid, 2n + 1 points
+        sizes.clear()
+        admissible_alphas([-5e-324, -1e-320], [-0.5, -0.5])
+        assert max(sizes) == 2 * 4000 + 1

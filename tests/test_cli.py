@@ -9,8 +9,8 @@ import pytest
 
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
 from abcdsim.cli import main
-from abcdsim.config import fmt_float
-from test_classifier import _full_scan
+from abcdsim.config import build_region_axes, fmt_float, parse_config
+from test_classifier import SHIPPED_REGION_MAP, _full_scan
 
 IDENTITY_TEXT = """
 [experiment]
@@ -250,6 +250,54 @@ class TestRegionMap:
             found = _full_scan(a, c)
             assert alpha_s == ("" if found is None else fmt_float(found[0]))
         assert min(a_seen) < REFINED_SPLIT < max(a_seen)
+
+    @pytest.mark.parametrize("text, violations", [
+        (None, False),  # the shipped configs/region_map.ini
+        (_region_text(a_min=-0.5, a_max=0.3, c_min=-1.4, c_max=0.2, step=0.1), True),
+        (_region_text(a_min=-1.0, a_max=-0.01, c_min=-1.0, c_max=-0.01, step=0.03).replace(
+            "with_alpha = true", "with_alpha = false"), False),
+    ], ids=["shipped", "domain-crossing", "without-alpha"])
+    def test_csv_is_the_per_cell_classifier_byte_for_byte(self, tmp_path, monkeypatch, capsys,
+                                                          text, violations):
+        if text is None:
+            cfg = str(SHIPPED_REGION_MAP)
+            monkeypatch.setenv("ABCDSIM_OUT_ROOT", str(tmp_path))
+            out = tmp_path / "out" / "region_map"
+        else:
+            out = tmp_path / "map"
+            cfg = _write_cfg(tmp_path, text, out=out)
+        r = parse_config(cfg).region
+        a_vals, c_vals = build_region_axes(parse_config(cfg))
+        rows, n_acc, branches = ["a,c,accepted,branch,margin,alpha_if_any"], 0, set()
+        for a in map(float, a_vals):
+            for c in map(float, c_vals):
+                try:
+                    v = satisfies_refined_dispersion(a, c, r.b)
+                    accepted, branch, margin = v.accepted, v.branch, v.margin
+                except ValueError:
+                    accepted, branch, margin = False, "domain-violation", math.nan
+                found = None
+                if r.with_alpha and branch != "domain-violation":
+                    found = find_admissible_alpha(a, c)
+                alpha = "" if found is None else fmt_float(found[0])
+                rows.append(",".join([fmt_float(a), fmt_float(c), "true" if accepted else "false",
+                                      branch, fmt_float(margin), alpha]))
+                n_acc += accepted
+                branches.add((branch, alpha != ""))
+        # what each config is there to cover: cells with and without an alpha,
+        # domain violations (which never get one), and a map without the column
+        assert (("domain-violation", False) in branches) == violations
+        if r.with_alpha:
+            assert ("main-inequality", True) in branches and ("rejected", False) in branches
+        else:
+            assert all(not has for _, has in branches)
+
+        assert main(["region-map", cfg]) == 0
+        assert (out / "region_map.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+        cells = len(rows) - 1
+        assert capsys.readouterr().out == f"region-map: {cells} cells, {n_acc} accepted\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["cells"], summary["accepted_cells"]) == (cells, n_acc)
 
     def test_run_subcommand_accepts_region_kind(self, tmp_path):
         out = tmp_path / "map2"

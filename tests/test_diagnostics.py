@@ -293,6 +293,26 @@ class TestDecayMetrics:
             ds.hcal[0], virial_I(s0, w0) + 0.3 * virial_J(s0, w0), rtol=1e-13
         )
 
+    def test_builds_only_the_first_derivatives(self, grid40, monkeypatch):
+        # per hand-built state: one rfft for its coefficients, one stacked
+        # irfft of dx u and dx eta; the rest of the ladder is never built,
+        # and the values are those of the engine's whole ladder
+        states = self._trajectory(grid40)
+        eng = DiagnosticsEngine(AbcdParams(a=-1.0, c=-1.0), flat_bottom(), alpha=0.3,
+                                weight_mode="schedule")
+        for s in states:
+            eng.observe(s)
+        fresh = [State(grid40, s.eta, s.u, s.t) for s in states]
+        calls = []
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        got = decay_metrics(fresh, alpha=0.3)
+        assert len(calls) <= 2 * len(fresh)
+        for field, name in (("windowed", "windowed_h1"), ("interval", "interval_h1"),
+                            ("running_integral", "running_decay_integral"), ("hcal", "virial_mix")):
+            assert list(getattr(got, field)) == list(eng.series(name)), field
+
     def test_rejects_bad_trajectories(self, grid40):
         states = self._trajectory(grid40)
         with pytest.raises(ValueError):
