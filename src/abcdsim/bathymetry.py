@@ -9,6 +9,7 @@ numerically; the eight derivative fields are analytic evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,26 @@ class BathymetrySamples:
     dtt_dxx_h: np.ndarray
     zero: bool = False
 
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """Stacked rfft of (h, dt_h, dt_dxx_h, dtt_dx_h, dtt_dxx_h).  A sample from
+        `Bathymetry.sample` carries it; a hand-built one transforms on first use."""
+        return np.fft.rfft(np.stack([getattr(self, k) for k in _SPECTRAL]))
+
+
+# the fields whose rfft rows a sample carries; row i is amplitude times
+# (tau, tau', tau'')[_SPECTRAL_CLOCK[i]] times (X, X', X'')[_SPECTRAL_PROFILE[i]]
+_SPECTRAL = ("h", "dt_h", "dt_dxx_h", "dtt_dx_h", "dtt_dxx_h")
+_SPECTRAL_PROFILE = [0, 0, 2, 1, 2]
+_SPECTRAL_CLOCK = [0, 1, 1, 2, 2]
+
 
 class Bathymetry:
     """Separable bottom h = amplitude * tau(t) * X(x).
 
     tau_fn(t) returns (tau, tau', tau''); profile_fn(x) returns
-    (X, X', X'') as arrays.  Spatial profiles are cached per grid (L, N).
+    (X, X', X'') as arrays.  The amplitude-scaled profile rows and their
+    spectra are cached per grid (L, N).
     """
 
     def __init__(self, preset: str, amplitude: float, tau_fn, profile_fn):
@@ -66,34 +81,43 @@ class Bathymetry:
         return self.amplitude == 0.0
 
     def _profiles(self, grid: Grid):
+        """amplitude * (X, X', X'') on the grid, and the _SPECTRAL rows at
+        tau = tau' = tau'' = 1 from one stacked rfft of them."""
         key = (grid.L, grid.N)
         if key not in self._profile_cache:
-            X, dX, d2X = self._profile_fn(grid.x)
-            self._profile_cache[key] = (np.asarray(X, float), np.asarray(dX, float), np.asarray(d2X, float))
+            rows = self.amplitude * np.array(self._profile_fn(grid.x), dtype=float)
+            unit = np.fft.rfft(rows)[_SPECTRAL_PROFILE]
+            unit.flags.writeable = False
+            self._profile_cache[key] = rows, unit
         return self._profile_cache[key]
 
     def tau(self, t: float):
         return self._tau_fn(t)
 
+    def spectra(self, grid: Grid) -> np.ndarray:
+        """`BathymetrySamples.spectra` at tau = tau' = tau'' = 1, read-only."""
+        return self._profiles(grid)[1]
+
     def sample(self, grid: Grid, t: float) -> BathymetrySamples:
         if self.is_flat:
             z = np.zeros(grid.N)
             return BathymetrySamples(grid, t, z, z, z, z, z, z, z, z, zero=True)
-        X, dX, d2X = self._profiles(grid)
-        tv, dtv, d2tv = self._tau_fn(t)
-        a = self.amplitude
-        return BathymetrySamples(
+        (X, dX, d2X), unit = self._profiles(grid)
+        clock = self._tau_fn(t)
+        tv, dtv, d2tv = clock
+        bs = BathymetrySamples(
             grid=grid, t=t,
-            h=a * tv * X,
-            dx_h=a * tv * dX,
-            dt_h=a * dtv * X,
-            dtt_h=a * d2tv * X,
-            dt_dx_h=a * dtv * dX,
-            dtt_dx_h=a * d2tv * dX,
-            dt_dxx_h=a * dtv * d2X,
-            dtt_dxx_h=a * d2tv * d2X,
-            zero=False,
+            h=tv * X,
+            dx_h=tv * dX,
+            dt_h=dtv * X,
+            dtt_h=d2tv * X,
+            dt_dx_h=dtv * dX,
+            dtt_dx_h=d2tv * dX,
+            dt_dxx_h=dtv * d2X,
+            dtt_dxx_h=d2tv * d2X,
         )
+        bs.__dict__["spectra"] = np.array(clock)[_SPECTRAL_CLOCK, None] * unit
+        return bs
 
 
 # -- profile helpers -----------------------------------------------------
@@ -112,13 +136,10 @@ def _sech2_profile(width: float, center: float):
 
 
 def _ripple_profile(width: float, k0: float, center: float):
+    envelope = _sech2_profile(width, center)
+
     def profile(x):
-        y = (x - center) / width
-        s = 1.0 / np.cosh(y) ** 2
-        t = np.tanh(y)
-        P = s
-        dP = -2.0 * s * t / width
-        d2P = 2.0 * s * (2.0 * t * t - s) / width**2
+        P, dP, d2P = envelope(x)
         C = np.cos(k0 * x)
         dC = -k0 * np.sin(k0 * x)
         d2C = -k0 * k0 * C
@@ -130,6 +151,16 @@ def _ripple_profile(width: float, k0: float, center: float):
     return profile
 
 
+def _relaxing_clock(t0: float):
+    """tau = e^{-(t-t0)}; each time derivative flips the sign."""
+
+    def tau(t):
+        e = np.exp(-(t - t0))
+        return e, -e, e
+
+    return tau
+
+
 # -- presets -------------------------------------------------------------
 
 def flat_bottom() -> Bathymetry:
@@ -139,12 +170,7 @@ def flat_bottom() -> Bathymetry:
 
 def decaying_bump(amplitude: float, width: float = 1.0, center: float = 0.0, t0: float = 0.0) -> Bathymetry:
     """Exponentially relaxing bump, h = amp * e^{-(t-t0)} * sech^2((x-center)/width)."""
-
-    def tau(t):
-        e = np.exp(-(t - t0))
-        return e, -e, e
-
-    return Bathymetry("decaying-bump", amplitude, tau, _sech2_profile(width, center))
+    return Bathymetry("decaying-bump", amplitude, _relaxing_clock(t0), _sech2_profile(width, center))
 
 
 def smooth_switch_bump(amplitude: float, width: float = 1.0, t_on: float = 5.0,
@@ -175,12 +201,7 @@ def smooth_switch_bump(amplitude: float, width: float = 1.0, t_on: float = 5.0,
 def traveling_ripple(amplitude: float, width: float = 1.0, k0: float = 1.0,
                      center: float = 0.0, t0: float = 0.0) -> Bathymetry:
     """Decaying oscillatory patch, h = amp * e^{-(t-t0)} * cos(k0 x) sech^2((x-center)/width)."""
-
-    def tau(t):
-        e = np.exp(-(t - t0))
-        return e, -e, e
-
-    return Bathymetry("traveling-ripple", amplitude, tau, _ripple_profile(width, k0, center))
+    return Bathymetry("traveling-ripple", amplitude, _relaxing_clock(t0), _ripple_profile(width, k0, center))
 
 
 def static_bump(amplitude: float, width: float = 1.0, center: float = 0.0) -> Bathymetry:
@@ -235,15 +256,6 @@ def hypothesis_report(b: Bathymetry, grid: Grid, t_max: float, eps: float,
     n_int = 1000  # step = 1e-3 * t_max, even count for Simpson
     ts = np.linspace(0.0, t_max, n_int + 1)
     wq = _simpson_weights(n_int + 1, t_max / n_int)
-
-    if b.is_flat:
-        zero = HypothesisReport(
-            t_max=t_max, eps=eps, c_const=c_const,
-            sup_w2inf_h1=0.0, l1t_h1_dt=0.0, l1t_h1_dtt=0.0, l1t_linf_dx=0.0,
-            smallness_value=0.0, smallness_bound=c_const * eps, smallness_ok=True,
-            flux_value=0.0, flux_bound=c_const, flux_ok=True, passed=True,
-        )
-        return zero
 
     # Spatial norms of the separable profile are time independent; only tau
     # varies.  Evaluate them on a dense internal grid so the reported numbers

@@ -24,6 +24,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     fmt_float,
+    fmt_value,
     build_bathymetry,
     build_grid,
     build_region_axes,
@@ -110,16 +111,6 @@ print(out)
 
 # -- deterministic writers -----------------------------------------------
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
-    return str(v)
-
-
 def _create(path: str):
     """Open path for writing; the output directory is made at the first
     write, so a config rejected while building leaves nothing behind."""
@@ -131,7 +122,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(fmt_value, row)) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -199,8 +190,6 @@ def _base_summary(cfg: ExperimentConfig, engine: DiagnosticsEngine, result) -> d
             residual_maxima[fname + "_rate"] = _nanmax(rel)
     except ValueError:
         pass
-    initial = float(h1[0])
-    sup = float(np.max(h1))
     return {
         "kind": cfg.kind,
         "seed": cfg.seed,
@@ -218,10 +207,10 @@ def _base_summary(cfg: ExperimentConfig, engine: DiagnosticsEngine, result) -> d
         "n_steps": result.n_steps,
         "n_snapshots": len(engine.records),
         "norms": {
-            "initial_h1": initial,
-            "sup_h1": sup,
+            "initial_h1": float(h1[0]),
+            "sup_h1": float(np.max(h1)),
             "final_h1": float(h1[-1]),
-            "sup_ratio": sup / initial if initial > 0.0 else 0.0,
+            "sup_ratio": _sup_ratio(h1),
         },
         "residual_maxima": residual_maxima,
     }
@@ -247,33 +236,40 @@ def _run_identity_suite(cfg: ExperimentConfig, outdir: str) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _decay_flags(t, windowed, running, sup_ratio) -> dict:
-    finite = np.isfinite(windowed)
-    w = windowed[finite]
-    flags = {}
-    flags["bounded"] = bool(sup_ratio <= DECAY_SUP_RATIO)
-    if w.size:
-        wmax = float(np.max(w))
-        flags["windowed_final_ok"] = bool(w[-1] <= DECAY_FINAL_RATIO * wmax)
-    else:
-        flags["windowed_final_ok"] = False
-    rfin = running[np.isfinite(running)]
+def _sup_ratio(h1) -> float:
+    """sup of the H1 norm over the run vs its initial value (0 for zero data)."""
+    initial = float(h1[0])
+    return float(np.max(h1)) / initial if initial > 0.0 else 0.0
+
+
+def _decay_verdict(out: dict, t, windowed, running, sup_ratio, out_of_region: bool) -> bool:
+    """Put the decay flags into out (a summary or a report); True if the run passes.
+
+    Outside the classifier region no decay conclusion applies: the flags
+    are reported under "observed" and not asserted.
+    """
+    w = windowed[np.isfinite(windowed)]
+    flags = {
+        "bounded": bool(sup_ratio <= DECAY_SUP_RATIO),
+        "windowed_final_ok": bool(w.size and w[-1] <= DECAY_FINAL_RATIO * float(np.max(w))),
+        "integral_converged": False,
+    }
+    done = np.isfinite(running)
+    rfin = running[done]
     if rfin.size:
-        r_end = float(rfin[-1])
-        if r_end <= 0.0:
-            flags["integral_converged"] = True
-            flags["integral_growth"] = 0.0
-        else:
-            t_fin = t[np.isfinite(running)]
-            t_cut = t_fin[0] + 0.8 * (t_fin[-1] - t_fin[0])
-            i_cut = int(np.searchsorted(t_fin, t_cut))
-            i_cut = min(i_cut, rfin.size - 1)
-            growth = (r_end - float(rfin[i_cut])) / r_end
-            flags["integral_converged"] = bool(growth < DECAY_GROWTH_LIMIT)
-            flags["integral_growth"] = growth
-    else:
-        flags["integral_converged"] = False
-    return flags
+        r_end, growth = float(rfin[-1]), 0.0
+        if r_end > 0.0:  # a running integral that is not positive has not grown
+            t_fin = t[done]
+            i_cut = int(np.searchsorted(t_fin, t_fin[0] + 0.8 * (t_fin[-1] - t_fin[0])))
+            growth = (r_end - float(rfin[min(i_cut, rfin.size - 1)])) / r_end
+        flags["integral_converged"] = bool(growth < DECAY_GROWTH_LIMIT)
+        flags["integral_growth"] = growth
+    if out_of_region:
+        out["flags"] = {"out_of_region": True}
+        out["observed"] = flags
+        return True
+    out["flags"] = flags
+    return flags["bounded"] and flags["windowed_final_ok"] and flags["integral_converged"]
 
 
 def _run_decay(cfg: ExperimentConfig, outdir: str) -> int:
@@ -291,27 +287,17 @@ def _run_decay(cfg: ExperimentConfig, outdir: str) -> int:
     out_of_region = not region["accepted"]
     summary["out_of_region"] = out_of_region
 
-    flags = _decay_flags(
-        engine.series("t"),
-        engine.series("windowed_h1"),
-        engine.series("running_decay_integral"),
-        summary["norms"]["sup_ratio"],
-    )
+    ok = _decay_verdict(summary, engine.series("t"), engine.series("windowed_h1"),
+                        engine.series("running_decay_integral"),
+                        summary["norms"]["sup_ratio"], out_of_region)
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     if out_of_region:
-        # outside the classifier region no decay conclusion applies;
-        # metrics are reported but not asserted
-        summary["flags"] = {"out_of_region": True}
-        summary["observed"] = flags
-        _write_json(os.path.join(outdir, "summary.json"), summary)
         print(f"decay-run: params (a={fmt_float(p.a)}, c={fmt_float(p.c)}) out-of-region;"
               " metrics reported without decay assertion")
-        return EXIT_PASS
-    summary["flags"] = flags
-    _write_json(os.path.join(outdir, "summary.json"), summary)
-    ok = flags["bounded"] and flags["windowed_final_ok"] and flags["integral_converged"]
-    print("decay-run: bounded={bounded} windowed_final_ok={windowed_final_ok} "
-          "integral_converged={integral_converged}".format(**flags)
-          + f" -> {'pass' if ok else 'FAIL'}")
+    else:
+        print("decay-run: bounded={bounded} windowed_final_ok={windowed_final_ok} "
+              "integral_converged={integral_converged}".format(**summary["flags"])
+              + f" -> {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -396,8 +382,7 @@ def _make_report(run_dir: str) -> int:
     h1 = cols["h1_norm"]
     windowed = cols["windowed_h1"]
     running = cols["running_decay_integral"]
-    initial = float(h1[0])
-    sup_ratio = float(np.max(h1)) / initial if initial > 0.0 else 0.0
+    sup_ratio = _sup_ratio(h1)
 
     finite = np.isfinite(windowed)
     envelope = np.maximum.accumulate(windowed[finite]) if finite.any() else np.array([])
@@ -416,14 +401,7 @@ def _make_report(run_dir: str) -> int:
     }
     out_of_region = bool(summary.get("out_of_region", False))
     report["out_of_region"] = out_of_region
-    flags = _decay_flags(t, windowed, running, sup_ratio)
-    if out_of_region:
-        report["observed"] = flags
-        report["flags"] = {"out_of_region": True}
-        ok = True
-    else:
-        report["flags"] = flags
-        ok = flags["bounded"] and flags["windowed_final_ok"] and flags["integral_converged"]
+    ok = _decay_verdict(report, t, windowed, running, sup_ratio, out_of_region)
     _write_json(os.path.join(run_dir, "report.json"), report)
     print(f"report: {'out-of-region, no decay assertion' if out_of_region else ('pass' if ok else 'FAIL')}")
     return EXIT_PASS if ok else EXIT_FAIL

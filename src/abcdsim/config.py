@@ -52,6 +52,7 @@ __all__ = [
     "build_sim_config",
     "build_region_axes",
     "fmt_float",
+    "fmt_value",
 ]
 
 OUT_ROOT_ENV = "ABCDSIM_OUT_ROOT"
@@ -95,6 +96,16 @@ class ConfigError(ValueError):
 def fmt_float(x: float) -> str:
     """Frozen float formatting for all emitted artifacts: 17 significant digits."""
     return f"{float(x):.17g}"
+
+
+def fmt_value(v) -> str:
+    """Frozen text of one artifact value (CSV cell or config value):
+    true/false for a bool, fmt_float for a float, str otherwise."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return fmt_float(v)
+    return str(v)
 
 
 def _parse_length(text: str) -> float:
@@ -312,14 +323,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def _emit(lines: list, section: str, pairs: list):
     lines.append(f"[{section}]")
-    for key, val in pairs:
-        if isinstance(val, bool):
-            sval = "true" if val else "false"
-        elif isinstance(val, float):
-            sval = fmt_float(val)
-        else:
-            sval = str(val)
-        lines.append(f"{key} = {sval}")
+    lines += [f"{key} = {fmt_value(val)}" for key, val in pairs]
     lines.append("")
 
 

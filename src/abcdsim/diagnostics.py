@@ -10,7 +10,7 @@ disagreement of each pair.
 
 Conventions used throughout: T is the Helmholtz inverse (1 - dxx)^-1,
 f = T u and g = T eta are the canonical variables, and w1 denotes the
-sampled bottom forcing (-1 + a1 dxx) dt h = a1 * dt_dxx_h - dt_h.
+bottom forcing (-1 + a1 dxx) dt h = a1 * dt_dxx_h - dt_h.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .bathymetry import Bathymetry, BathymetrySamples, flat_bottom
 from .classifier import QuadCoeffs, quadratic_coeffs
 from .grid import Grid
 from .params import AbcdParams
-from .solver import State, state_h1_norm
+from .solver import State, _bottom_forcing, state_h1_norm
 from .weights import T_MIN, WeightSet, scheduled_weights, weight_set
 
 __all__ = [
@@ -64,16 +64,17 @@ class _Snap:
     The fields are built eagerly from the state's rfft coefficients
     (zero-padded products as in Boyd 2001, ch. 11): one stacked pass to
     the 3/2 fine grid and back for the dealiased products u^2 and u eta
-    (and u h), over a bump one stacked rfft of the sampled bottom fields,
-    and one stacked irfft of the whole ladder of derivatives and T
-    images.  Over a flat bottom every bottom field is None.  With
+    (and u h), and one stacked irfft of the whole ladder of derivatives
+    and T images, the bottom forcing rows included.  The bottom enters
+    through the spectra its sample carries, so it costs no transform of
+    its own.  Over a flat bottom every bottom field is None.  With
     ladder=False only u, eta, their first derivatives (one stacked irfft)
     and the densities momentum, h1 and energy are built.
     """
 
     _UV = ("du", "d2u", "cf", "cf1", "cf2", "cf3", "deta", "d2eta", "cg", "cg1", "cg2", "cg3")
     _PRODUCTS = ("T_uu", "Tdx_uu", "T_ue", "Tdx_ue", "T_uh", "Tdx_uh")
-    _BOTTOM = ("T_w1", "Tdx_w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
+    _BOTTOM = ("T_w1", "Tdx_w1", "w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
     _SAMPLED = ("h", "dx_h", "dt_h", "dt_dx_h", "dtt_dx_h")
 
     def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams | None, ladder=True):
@@ -99,9 +100,8 @@ class _Snap:
         ik, d2, helm = g._ik, -g.k2, g._helm
         y = state.coeffs
         if not bs.zero:
-            w1 = p.a1 * bs.dt_dxx_h - bs.dt_h
-            b = np.fft.rfft(np.stack((bs.h, w1, bs.dt_h, bs.dtt_dx_h, bs.dtt_dxx_h)))
-            y = np.concatenate((y, b[:1]))
+            h_hat, (T_q, T_w1) = _bottom_forcing(g, p, bs.spectra)
+            y = np.concatenate((y, h_hat[None]))
         fine = g._to_fine(y)
         prods = g._from_fine(fine * fine[0])  # u^2, u eta [, u h]
         # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
@@ -111,17 +111,18 @@ class _Snap:
         names = self._UV + self._PRODUCTS[: 2 * len(prods)]
         if not bs.zero:
             rows.append(np.stack((
-                helm * b[1], ik * helm * b[1], helm * b[2], helm * b[3], helm * b[4],
+                T_w1, ik * T_w1, (1.0 + g.k2) * T_w1,  # T w1, T dx w1, w1 = (1 - dxx) T w1
+                helm * bs.spectra[1], T_q, helm * bs.spectra[4],
                 helm * ((1.0 - p.a * g.k2) * y[0] + prods[1] + prods[2]),  # F = T(a dxx u + u + u(eta+h))
                 helm * ((1.0 - p.c * g.k2) * y[1] + 0.5 * prods[0]),      # G = T(c dxx eta + eta + u^2/2)
             )))
             names += self._BOTTOM
         self.__dict__.update(zip(names, g.from_hat(np.concatenate(rows))))
         if bs.zero:
-            self.__dict__.update(dict.fromkeys(self._SAMPLED + self._PRODUCTS[4:] + self._BOTTOM + ("w1",)))
+            self.__dict__.update(dict.fromkeys(self._SAMPLED + self._PRODUCTS[4:] + self._BOTTOM))
             self.T_ueh, self.Tdx_ueh = self.T_ue, self.Tdx_ue
         else:
-            self.__dict__.update({k: getattr(bs, k) for k in self._SAMPLED}, w1=w1)
+            self.__dict__.update({k: getattr(bs, k) for k in self._SAMPLED})
             self.T_ueh, self.Tdx_ueh = self.T_ue + self.T_uh, self.Tdx_ue + self.Tdx_uh
 
     def integrate(self, values) -> float:

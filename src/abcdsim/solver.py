@@ -124,27 +124,27 @@ def _state(g: Grid, y, t: float) -> State:
     return _carrying(State(g, eta, u, t), y)
 
 
-def _bottom_spectra(g: Grid, p: AbcdParams, h, dt_h, dt_dxx_h, dtt_dx_h):
-    """rfft of h and the bottom forcing rows (c1 T dtt dx h, T (a1 dt dxx h - dt h))^."""
-    force = np.stack((p.c1 * g._helm * g.hat(dtt_dx_h), g._helm * g.hat(p.a1 * dt_dxx_h - dt_h)))
-    return g.hat(h), force
+def _bottom_forcing(g: Grid, p: AbcdParams, spectra):
+    """h_hat and the stacked bottom forcing ((T q)^, (T w1)^) of a bottom
+    whose rfft rows (h, dt h, dt dxx h, dtt dx h, ...) are `spectra`, with
+    q = dtt dx h and w1 = (-1 + a1 dxx) dt h."""
+    h_hat, dt_h, dt_dxx_h, dtt_dx_h = spectra[:4]
+    return h_hat, g._helm * np.stack((dtt_dx_h, p.a1 * dt_dxx_h - dt_h))
 
 
 def _bottom_at(b: Bathymetry, g: Grid, p: AbcdParams):
     """t -> (h_hat, force) of a separable bottom, or (None, None) over a flat one.
 
-    The spectra are built once at unit tau from the closed-form profile
-    (X, X', X''); each stage scales them by tau, tau' and tau''.
+    The forcing is built from the bottom's cached spectra at unit tau;
+    each stage scales it by tau, tau' and tau''.
     """
     if b.is_flat:
         return lambda t: (None, None)
-    X, dX, d2X = b._profiles(g)
-    amp = b.amplitude
-    h_hat, force = _bottom_spectra(g, p, amp * X, amp * X, amp * d2X, amp * dX)
+    h_hat, tf = _bottom_forcing(g, p, b.spectra(g))
 
     def at(t):
         tv, dtv, d2tv = b.tau(t)
-        return tv * h_hat, np.array((d2tv, dtv))[:, None] * force
+        return tv * h_hat, np.array((p.c1 * d2tv, dtv))[:, None] * tf
 
     return at
 
@@ -186,8 +186,10 @@ def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
     g = s.grid
     if not g.compatible(bs.grid):
         raise ValueError("state and bathymetry samples live on different grids")
-    bottom = (None, None) if bs.zero else _bottom_spectra(
-        g, p, bs.h, bs.dt_h, bs.dt_dxx_h, bs.dtt_dx_h)
+    bottom = None, None
+    if not bs.zero:
+        h_hat, tf = _bottom_forcing(g, p, bs.spectra)
+        bottom = h_hat, np.array((p.c1, 1.0))[:, None] * tf
     du, deta = g.from_hat(_Kernel(g, p)(s.coeffs, *bottom))
     return deta, du
 

@@ -1,10 +1,14 @@
 """Moving-bottom presets, derivative consistency, and the hypothesis audit."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from abcdsim import (
+    BathymetrySamples,
     Grid,
     decaying_bump,
     flat_bottom,
@@ -96,6 +100,49 @@ class TestPresetAlgebra:
         assert wrong == 0
 
 
+class TestCarriedSpectra:
+    """A sample carries the rfft of the fields the forcing reads, scaled
+    from the profile's spectra, which are built once per grid."""
+
+    FIELDS = ("h", "dt_h", "dt_dxx_h", "dtt_dx_h", "dtt_dxx_h")
+
+    @pytest.mark.parametrize("make, times", [
+        (lambda: decaying_bump(1e-3, width=2.0, center=1.3, t0=11.0), (11.0, 12.7)),
+        # plateau, ramp, and past t_off (tau = 0: every row exactly zero)
+        (lambda: smooth_switch_bump(2e-3, width=1.0, t_on=1.0, t_off=3.0), (0.5, 2.1, 3.5)),
+        (lambda: traveling_ripple(1e-3, width=3.0, k0=1.5), (0.0, 0.8)),
+        # tau' = tau'' = 0: rows 1-4 exactly zero
+        (lambda: static_bump(5e-3, width=1.5), (2.0,)),
+    ], ids=["decaying-bump", "smooth-switch", "traveling-ripple", "static-bump"])
+    def test_spectra_are_the_rfft_of_the_fields(self, grid, make, times):
+        b = make()
+        for t in times:
+            bs = b.sample(grid, t)
+            want = np.fft.rfft(np.stack([getattr(bs, k) for k in self.FIELDS]))
+            assert bs.spectra.shape == want.shape
+            assert np.max(np.abs(bs.spectra - want)) <= 1e-14 * np.max(np.abs(want)), t
+        assert not b.spectra(grid).flags.writeable  # shared by every run on this grid
+
+    def test_profile_spectra_are_built_once_per_grid(self, grid, monkeypatch):
+        b = decaying_bump(1e-3, width=2.0)
+        b.sample(grid, 0.0)
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        for t in (0.0, 0.5, 1.0):
+            b.sample(grid, t).spectra
+        assert b.spectra(grid) is b.spectra(Grid(grid.L, grid.N))
+        assert calls == []
+        b.sample(Grid(grid.L, 2 * grid.N), 0.0)
+        assert calls == [1]  # one stacked transform for a new grid
+
+    def test_a_hand_built_sample_transforms_its_fields(self, grid):
+        bs = decaying_bump(1e-3, width=2.0).sample(grid, 0.4)
+        hand = BathymetrySamples(**{f.name: getattr(bs, f.name) for f in fields(bs)})
+        want = np.fft.rfft(np.stack([getattr(bs, k) for k in self.FIELDS]))
+        assert np.array_equal(hand.spectra, want)
+
+
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("make", [
         lambda: decaying_bump(1e-3, width=2.0, center=1.3),
@@ -145,6 +192,19 @@ class TestHypothesisAudit:
         assert rep.passed
         assert rep.smallness_value == 0.0
         assert rep.flux_value == 0.0
+
+    def test_flat_bottom_report_is_all_zero_norms(self, grid):
+        # the general path, run on h = 0, gives exactly these values and types
+        d = hypothesis_report(flat_bottom(), grid, t_max=10.0, eps=1e-3, c_const=8.0).as_dict()
+        want = dict(
+            t_max=10.0, eps=1e-3, c_const=8.0,
+            sup_w2inf_h1=0.0, l1t_h1_dt=0.0, l1t_h1_dtt=0.0, l1t_linf_dx=0.0,
+            smallness_value=0.0, smallness_bound=8.0 * 1e-3, smallness_ok=True,
+            flux_value=0.0, flux_bound=8.0, flux_ok=True, passed=True,
+        )
+        assert d == want
+        assert [type(v) for v in d.values()] == [type(want[k]) for k in d]
+        assert json.dumps(d, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_decaying_bump_against_closed_forms(self, grid):
         eps, T = 1e-3, 50.0

@@ -207,6 +207,14 @@ class TestDecayRun:
         cfg = _write_cfg(tmp_path, text, out=out)
         assert main(["run", cfg]) == 3
         assert "FAIL" in capsys.readouterr().out
+        # the report rebuilt from the artifacts reaches the same verdict
+        assert main(["report", str(out)]) == 3
+        assert "FAIL" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert report["out_of_region"] is False
+        assert "observed" not in report
+        assert report["flags"] == summary["flags"]
 
 
 class TestRegionMap:

@@ -416,7 +416,7 @@ class TestObserveCost:
 
     @pytest.mark.parametrize("bottom, mode, t_start, transforms", [
         (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0, 3),
-        (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0, 4),
+        (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0, 3),
     ], ids=["flat-fixed", "bump-schedule"])
     def test_counts_per_observe(self, bottom, mode, t_start, transforms, monkeypatch):
         g = Grid(40 * np.pi, 256)

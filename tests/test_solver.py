@@ -387,14 +387,35 @@ class TestStepCost:
         p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
         eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
         totals = []
-        for n_steps in (10, 30):
+        # the first run builds the bottom's spectra for this grid once (one
+        # stacked transform); the two counted runs after it differ by steps alone
+        for n_steps in (10, 10, 30):
             calls.update(fft=0, sample=0)
-            # snapshots only at the two ends, so the two runs differ by steps alone
+            # snapshots only at the two ends
             run(SimConfig(params=p, bathymetry=bottom, grid=grid, eta0=eta0, u0=u0,
                           dt=1e-2, t_end=n_steps * 1e-2, snapshot_every=1000))
             assert calls["sample"] == 0
             totals.append(calls["fft"])
-        assert totals[1] - totals[0] == 8 * 20
+        assert totals[2] - totals[1] == 8 * 20
+
+    def test_rhs_over_a_bump_transforms_only_the_state_products(self, grid, monkeypatch):
+        # the sample carries its spectra: a fine-grid pass and one inverse
+        # transform of the tendencies, as over a flat bottom
+        p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        s = State(grid, eta0, u0, 0.0)
+        s.coeffs
+        counts = []
+        for bottom in (flat_bottom(), decaying_bump(1e-3, width=1.0)):
+            bs = bottom.sample(grid, 0.3)
+            calls = []
+            for name in ("rfft", "irfft"):
+                fn = getattr(np.fft, name)
+                monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+            rhs(s, bs, p)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
 
 class TestStateCoefficients:
