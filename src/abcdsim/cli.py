@@ -21,10 +21,10 @@ import numpy as np
 from .bathymetry import hypothesis_report
 from .classifier import admissible_alphas, satisfies_refined_dispersion
 from .config import (
+    FLOAT_FORMAT,
     ConfigError,
     ExperimentConfig,
     fmt_float,
-    fmt_value,
     build_bathymetry,
     build_grid,
     build_region_axes,
@@ -42,6 +42,7 @@ EXIT_CONFIG = 1
 EXIT_ABORT = 2
 EXIT_FAIL = 3
 
+CSV_BLOCK_ROWS = 4096          # rows formatted and written per block of a CSV artifact
 DECAY_SUP_RATIO = 2.0          # sup H1 norm over the run vs initial
 DECAY_FINAL_RATIO = 0.5        # final windowed norm vs its running max
 DECAY_GROWTH_LIMIT = 0.05      # running-integral growth over the final fifth
@@ -118,11 +119,27 @@ def _create(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _float_texts(values: np.ndarray) -> list:
+    return list(map(FLOAT_FORMAT.format, values.tolist()))
+
+
+def _column_texts(column) -> list:
+    """The cells of one CSV column: a float array at FLOAT_FORMAT, a bool
+    array as true/false, a list of str as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return [("false", "true")[v] for v in column.tolist()] if column.dtype == bool else _float_texts(column)
+
+
+def _write_csv(path: str, header: list, columns) -> None:
+    """Write equal-length columns (a list, or the rows of a 2-D array) under header,
+    formatting and writing one block of rows at a time: the text is never held whole."""
+    n_rows = len(columns[0])
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt_value, row)) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            cells = [_column_texts(col[lo:lo + CSV_BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -137,14 +154,15 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_state_csv(path: str, state: State) -> None:
-    rows = zip(state.grid.x, state.eta, state.u)
-    _write_csv(path, ["x", "eta", "u"], [list(r) for r in rows])
+    _write_csv(path, ["x", "eta", "u"], [state.grid.x, state.eta, state.u])
 
 
 def _nanmax(values) -> float | None:
+    """The largest value, NaN (stencil edges, t < T_MIN) skipped; None if
+    no value is left or the largest is not finite."""
     arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    return float(finite.max()) if finite.size else None
+    top = float(arr[~np.isnan(arr)].max(initial=-math.inf))
+    return top if math.isfinite(top) else None
 
 
 # -- shared run machinery ------------------------------------------------
@@ -172,7 +190,7 @@ def _execute(cfg: ExperimentConfig, outdir: str):
     result = run(sim, observer=observer)
     _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)
     header, rows = engine.table()
-    _write_csv(os.path.join(outdir, "diagnostics.csv"), header, rows)
+    _write_csv(os.path.join(outdir, "diagnostics.csv"), header, np.array(rows, dtype=float).T)
     _write_text(os.path.join(outdir, "plot_diagnostics.py"), PLOT_SCRIPT)
     return sim, engine, result
 
@@ -304,31 +322,35 @@ def _run_decay(cfg: ExperimentConfig, outdir: str) -> int:
 def _run_region_map(cfg: ExperimentConfig, outdir: str) -> int:
     r = cfg.region
     a_vals, c_vals = build_region_axes(cfg)
-    rows = []
-    for a in a_vals:
-        for c in c_vals:
+    c_list, verdicts = c_vals.tolist(), []
+    for a in a_vals.tolist():
+        for c in c_list:
             try:
-                v = satisfies_refined_dispersion(float(a), float(c), r.b)
-                accepted, branch, margin = v.accepted, v.branch, v.margin
+                v = satisfies_refined_dispersion(a, c, r.b)
+                verdicts.append((v.accepted, v.branch, v.margin))
             except ValueError:
-                accepted, branch, margin = False, "domain-violation", math.nan
-            rows.append([float(a), float(c), accepted, branch, margin, ""])
+                verdicts.append((False, "domain-violation", math.nan))
+    accepted, branch, margin = zip(*verdicts)
+    alpha = np.full(len(branch), "", dtype=object)
     if r.with_alpha:  # one array search over every cell inside the domain
-        inside = [row for row in rows if row[3] != "domain-violation"]
-        alphas, _ = admissible_alphas([row[0] for row in inside], [row[1] for row in inside])
-        for row, alpha in zip(inside, alphas.tolist()):
-            row[5] = "" if math.isnan(alpha) else fmt_float(alpha)
-    _write_csv(os.path.join(outdir, "region_map.csv"),
-               ["a", "c", "accepted", "branch", "margin", "alpha_if_any"], rows)
-    n_acc = sum(1 for row in rows if row[2])
+        inside = np.flatnonzero(np.array(branch) != "domain-violation")
+        i_a, i_c = np.divmod(inside, c_vals.size)  # cells run over c within each a
+        distinct, which = np.unique(admissible_alphas(a_vals[i_a], c_vals[i_c])[0], return_inverse=True)
+        texts = [s if s != "nan" else "" for s in _float_texts(distinct)]  # each distinct α formatted once
+        alpha[inside] = np.array(texts, dtype=object)[which]
+    _write_csv(os.path.join(outdir, "region_map.csv"),  # each axis value formatted once
+               ["a", "c", "accepted", "branch", "margin", "alpha_if_any"],
+               [[s for s in _float_texts(a_vals) for _ in c_list], _float_texts(c_vals) * a_vals.size,
+                np.array(accepted), branch, np.array(margin), alpha.tolist()])
+    n_acc = sum(accepted)
     _write_json(os.path.join(outdir, "summary.json"), {
         "kind": cfg.kind,
-        "cells": len(rows),
+        "cells": len(branch),
         "accepted_cells": n_acc,
         "grid": {"a_min": r.a_min, "a_max": r.a_max, "c_min": r.c_min,
                  "c_max": r.c_max, "step": r.step, "b": r.b},
     })
-    print(f"region-map: {len(rows)} cells, {n_acc} accepted")
+    print(f"region-map: {len(branch)} cells, {n_acc} accepted")
     return EXIT_PASS
 
 

@@ -51,11 +51,13 @@ __all__ = [
     "build_initial",
     "build_sim_config",
     "build_region_axes",
+    "FLOAT_FORMAT",
     "fmt_float",
     "fmt_value",
 ]
 
 OUT_ROOT_ENV = "ABCDSIM_OUT_ROOT"
+FLOAT_FORMAT = "{:.17g}"  # frozen float text of every emitted artifact: 17 significant digits
 
 # [bathymetry] preset -> bottom factory
 BATHY_PRESETS = {
@@ -94,13 +96,13 @@ class ConfigError(ValueError):
 
 
 def fmt_float(x: float) -> str:
-    """Frozen float formatting for all emitted artifacts: 17 significant digits."""
-    return f"{float(x):.17g}"
+    """Frozen float formatting for all emitted artifacts (FLOAT_FORMAT)."""
+    return FLOAT_FORMAT.format(float(x))
 
 
 def fmt_value(v) -> str:
-    """Frozen text of one artifact value (CSV cell or config value):
-    true/false for a bool, fmt_float for a float, str otherwise."""
+    """Frozen text of one config value: true/false for a bool, fmt_float
+    for a float, str otherwise (the CSV writer follows the same rules)."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -194,6 +196,12 @@ class AuditSpec:
     t_max: float
     eps: float
     c_const: float = 1.0
+
+    def __post_init__(self):
+        # a horizon or a bound that is not positive leaves no verdict to report
+        for key in ("t_max", "eps", "c_const"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f'bad value for "{key}" in [audit]: must be positive')
 
 
 def _section(name: str):

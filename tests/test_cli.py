@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
-from abcdsim.cli import main
-from abcdsim.config import build_region_axes, fmt_float, parse_config
+from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _write_csv, main
+from abcdsim.config import build_region_axes, build_sim_config, fmt_float, fmt_value, parse_config
+from abcdsim.diagnostics import DiagnosticsEngine
+from abcdsim.solver import run
 from test_classifier import SHIPPED_REGION_MAP, _full_scan
 
 IDENTITY_TEXT = """
@@ -159,6 +161,36 @@ class TestIdentitySuite:
         assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
         assert summary["residual_maxima"]["decomposition"] < 1e-6
 
+    def test_an_infinite_residual_fails_the_suite(self, tmp_path, monkeypatch, capsys):
+        # NaN marks a value that is not defined (stencil edges, t < T_MIN) and is
+        # skipped; an inf is a residual that blew up and must not be dropped
+        observe = DiagnosticsEngine.observe
+
+        def observe_then_spoil(engine, state):
+            rec = observe(engine, state)
+            if len(engine.records) == 3:
+                rec.decomposition_residual = math.inf
+            return rec
+
+        monkeypatch.setattr(DiagnosticsEngine, "observe", observe_then_spoil)
+        out = tmp_path / "run"
+        assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 3
+        assert "no finite value for decomposition -> FAIL" in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["residual_maxima"]["decomposition"] is None
+        assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
+        assert summary["flags"] == {"residuals_ok": False}
+
+    @pytest.mark.parametrize("values, expected", [
+        ([math.nan, 2e-9, math.nan, 1e-9], 2e-9),
+        ([math.nan, math.nan], None),
+        ([], None),
+        ([1e-9, math.inf], None),
+        ([-math.inf, 1e-9], 1e-9),
+    ])
+    def test_nanmax_skips_nan_only(self, values, expected):
+        assert _nanmax(values) == expected
+
     def test_artifacts_are_byte_deterministic(self, tmp_path):
         texts = {}
         for tag in ("one", "two"):
@@ -173,6 +205,49 @@ class TestIdentitySuite:
         # nothing, since no paths or clocks are embedded
         for name in texts["one"]:
             assert texts["one"][name] == texts["two"][name], name
+
+
+def _fmt_float_csv(header, rows) -> bytes:
+    """A CSV built one value at a time with fmt_float: the reference text."""
+    lines = [",".join(header)] + [",".join(fmt_float(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    def test_block_writer_is_the_per_value_formatter_byte_for_byte(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1.0, np.float64(0.1)]
+        words = ["", "main-inequality", "x"]
+        n = 2 * CSV_BLOCK_ROWS + 37  # more than one block, not a whole number of blocks
+        rows = [[floats[i % 8], i % 3 == 0, words[i % 3], floats[i % 7]] for i in range(n)]
+        columns = [np.array([row[0] for row in rows]), np.array([row[1] for row in rows]),
+                   [row[2] for row in rows], np.array([row[3] for row in rows])]
+        path = tmp_path / "edge.csv"
+        _write_csv(str(path), ["f", "b", "s", "g"], columns)
+        expected = "f,b,s,g\n" + "".join(",".join(map(fmt_value, row)) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
+    def test_run_csvs_are_fmt_float_joined_references(self, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = _write_cfg(tmp_path, IDENTITY_TEXT, out=out)
+        assert main(["run", cfg_path]) == 0
+        # the same run again, outside the CLI, with every value formatted on its own
+        cfg = parse_config(cfg_path)
+        sim = build_sim_config(cfg)
+        d = cfg.diag
+        engine = DiagnosticsEngine(cfg.params, sim.bathymetry, alpha=d.alpha,
+                                   weight_mode=d.weight_mode, fixed_lambda=d.fixed_lambda)
+        initial = []
+
+        def observer(state):
+            if not initial:
+                initial.append(_fmt_float_csv(["x", "eta", "u"], zip(state.grid.x, state.eta, state.u)))
+            engine.observe(state)
+
+        final = run(sim, observer=observer).final_state
+        assert (out / "initial_state.csv").read_bytes() == initial[0]
+        assert (out / "final_state.csv").read_bytes() == _fmt_float_csv(
+            ["x", "eta", "u"], zip(final.grid.x, final.eta, final.u))
+        assert (out / "diagnostics.csv").read_bytes() == _fmt_float_csv(*engine.table())
 
 
 class TestDecayRun:
@@ -397,6 +472,21 @@ class TestRegionValidation:
         err = capsys.readouterr().err
         assert f'"{key}" in [region]' in err
         assert not (out / "region_map.csv").exists()
+
+
+class TestAuditValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("t_max", 0.0), ("t_max", -50.0), ("eps", -1e-3), ("eps", 0.0),
+        ("c_const", 0.0), ("c_const", -8.0), ("eps", math.nan),
+    ])
+    def test_bad_audit_value_is_a_config_error_naming_the_key(self, tmp_path, capsys, key, value):
+        text = "\n".join(f"{key} = {value!r}" if line.startswith(f"{key} = ") else line
+                         for line in AUDIT_TEXT.split("\n"))
+        out = tmp_path / "aud"
+        cfg = _write_cfg(tmp_path, text, out=out, preset="flat")
+        assert main(["audit-bathymetry", cfg]) == 1
+        assert f'"{key}" in [audit]' in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputRoot:
