@@ -45,8 +45,24 @@ def _check_domain(a: float, c: float) -> None:
 @dataclass(frozen=True)
 class RegionVerdict:
     accepted: bool
-    branch: str  # "main-inequality", "refined-case-1", "refined-case-2", "rejected"
+    branch: str  # "main-inequality", "refined-case-1", "refined-case-2", "rejected" (or "domain-violation")
     margin: float  # signed slack of the binding inequality
+
+
+def _region(a, c, b):
+    """The region test elementwise: (main slack, refined case, row slack); case 1 (c <= a)
+    indexes its windows by c, case 2 (the mirror image) by a; "" and NaN where no window holds."""
+    a, c, b = (np.asarray(v, dtype=float) for v in (a, c, b))
+    main = 8.0 * a * c - 3.0 * (a + c) - 2.0
+    one, th = c <= a, REFINED_SPLIT
+    x, y = np.where(one, c, a), np.where(one, a, c)  # the window variable and the other one
+    lo = np.where(one, -1.0, -1.0 - 1.0 / (6.0 * b))
+    rows = [(lo <= x) & (x < th), (th <= x) & (x < -1.0 / 3.0), (-1.0 / 3.0 <= x) & (x < -1.0 / 9.0)]
+    m = np.where(rows[0], 45.0 * a * c - (1.0 - y),
+                 np.where(rows[1], 18.0 * a * c + a + c,
+                          np.where(rows[2], 27.0 * a * c - (6.0 * y + 1.0), np.nan)))
+    case = np.where(rows[0] | rows[1] | rows[2], np.where(one, "refined-case-1", "refined-case-2"), "")
+    return main, case, m
 
 
 def refined_margin(a: float, c: float, b: float = 1.0):
@@ -56,23 +72,9 @@ def refined_margin(a: float, c: float, b: float = 1.0):
     "refined-case-2" (a <= c) and margin > 0 means the row inequality
     holds; returns None when no row window contains the point.
     """
-    th = REFINED_SPLIT
-    if c <= a:  # case 1, windows indexed by c
-        if -1.0 <= c < th:
-            return "refined-case-1", 45.0 * a * c - (1.0 - a)
-        if th <= c < -1.0 / 3.0:
-            return "refined-case-1", 18.0 * a * c + a + c
-        if -1.0 / 3.0 <= c < -1.0 / 9.0:
-            return "refined-case-1", 27.0 * a * c - (6.0 * a + 1.0)
-        return None
-    # case 2, mirror image, windows indexed by a
-    if -1.0 - 1.0 / (6.0 * b) <= a < th:
-        return "refined-case-2", 45.0 * a * c - (1.0 - c)
-    if th <= a < -1.0 / 3.0:
-        return "refined-case-2", 18.0 * a * c + a + c
-    if -1.0 / 3.0 <= a < -1.0 / 9.0:
-        return "refined-case-2", 27.0 * a * c - (6.0 * c + 1.0)
-    return None
+    _, case, m = _region(a, c, b)
+    case, m = str(case), float(m)
+    return (case, m) if case else None
 
 
 def satisfies_refined_dispersion(a: float, c: float, b: float = 1.0) -> RegionVerdict:
@@ -82,18 +84,25 @@ def satisfies_refined_dispersion(a: float, c: float, b: float = 1.0) -> RegionVe
     the refined piecewise family is consulted.  Exactly one branch label
     is reported.  For a rejected point the margin is the slack of the
     nearest applicable inequality (negative).
+
+    Scalar input gives a bool, a str and a float, and raises ValueError off the
+    domain a < 0, -1 <= c < 0.  Array input is broadcast and gives arrays; a cell
+    off the domain is "domain-violation", not accepted, with margin NaN.
     """
-    _check_domain(a, c)
-    main = 8.0 * a * c - 3.0 * (a + c) - 2.0
-    if main > 0.0:
-        return RegionVerdict(True, "main-inequality", main)
-    row = refined_margin(a, c, b)
-    if row is not None:
-        case, m = row
-        if m > 0.0:
-            return RegionVerdict(True, case, m)
-        return RegionVerdict(False, "rejected", max(main, m))
-    return RegionVerdict(False, "rejected", main)
+    scalar = np.ndim(a) == np.ndim(c) == np.ndim(b) == 0
+    if scalar:
+        _check_domain(a, c)
+    main, case, m = _region(a, c, b)
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    off = ~((a < 0.0) & (c < 0.0)) | (c < -1.0)
+    accepted = ~off & ((main > 0.0) | (m > 0.0))
+    branch = np.where(off, "domain-violation", np.where(main > 0.0, "main-inequality",
+                                                        np.where(m > 0.0, case, "rejected")))
+    # a rejected point reports max(main, m): the row slack only where it is the larger
+    margin = np.where(off, np.nan, np.where((main <= 0.0) & (m > main), m, main))
+    if scalar:
+        return RegionVerdict(bool(accepted), str(branch), float(margin))
+    return RegionVerdict(accepted, branch, margin)
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,7 @@ def admissible_alphas(a, c, span: float = 4.0, step: float = 1e-3):
     # a window at least n wide becomes the whole grid (w = n), which is never more points
     w = np.minimum(2 + np.ceil(1e-12 / step / np.clip(np.minimum(-a, -c), 1e-300, 1.0)), n)
     alpha, margin = np.full(a.size, np.nan), np.full(a.size, np.nan)
-    for width in np.unique(w).astype(int):
+    for width in sorted(set(w.astype(int).tolist())):  # not np.unique: it imports numpy.ma
         cells = np.flatnonzero(w == width)
         for idx in np.split(cells, range(0, cells.size, max(1, _BLOCK // (2 * width + 1)))[1:]):
             alpha[idx], margin[idx] = _window_search(a[idx], c[idx], width, n, step)

@@ -322,35 +322,29 @@ def _run_decay(cfg: ExperimentConfig, outdir: str) -> int:
 def _run_region_map(cfg: ExperimentConfig, outdir: str) -> int:
     r = cfg.region
     a_vals, c_vals = build_region_axes(cfg)
-    c_list, verdicts = c_vals.tolist(), []
-    for a in a_vals.tolist():
-        for c in c_list:
-            try:
-                v = satisfies_refined_dispersion(a, c, r.b)
-                verdicts.append((v.accepted, v.branch, v.margin))
-            except ValueError:
-                verdicts.append((False, "domain-violation", math.nan))
-    accepted, branch, margin = zip(*verdicts)
-    alpha = np.full(len(branch), "", dtype=object)
+    # one elementwise test over the grid; cells run over c within each a
+    v = satisfies_refined_dispersion(a_vals[:, None], c_vals[None, :], r.b)
+    accepted, branch, margin = v.accepted.ravel(), v.branch.ravel(), v.margin.ravel()
+    alpha = np.full(branch.size, "", dtype=object)
     if r.with_alpha:  # one array search over every cell inside the domain
-        inside = np.flatnonzero(np.array(branch) != "domain-violation")
-        i_a, i_c = np.divmod(inside, c_vals.size)  # cells run over c within each a
+        inside = np.flatnonzero(branch != "domain-violation")
+        i_a, i_c = np.divmod(inside, c_vals.size)
         distinct, which = np.unique(admissible_alphas(a_vals[i_a], c_vals[i_c])[0], return_inverse=True)
         texts = [s if s != "nan" else "" for s in _float_texts(distinct)]  # each distinct α formatted once
         alpha[inside] = np.array(texts, dtype=object)[which]
     _write_csv(os.path.join(outdir, "region_map.csv"),  # each axis value formatted once
                ["a", "c", "accepted", "branch", "margin", "alpha_if_any"],
-               [[s for s in _float_texts(a_vals) for _ in c_list], _float_texts(c_vals) * a_vals.size,
-                np.array(accepted), branch, np.array(margin), alpha.tolist()])
-    n_acc = sum(accepted)
+               [[s for s in _float_texts(a_vals) for _ in range(c_vals.size)],
+                _float_texts(c_vals) * a_vals.size, accepted, branch.tolist(), margin, alpha.tolist()])
+    n_acc = int(np.count_nonzero(accepted))
     _write_json(os.path.join(outdir, "summary.json"), {
         "kind": cfg.kind,
-        "cells": len(branch),
+        "cells": branch.size,
         "accepted_cells": n_acc,
         "grid": {"a_min": r.a_min, "a_max": r.a_max, "c_min": r.c_min,
                  "c_max": r.c_max, "step": r.step, "b": r.b},
     })
-    print(f"region-map: {len(branch)} cells, {n_acc} accepted")
+    print(f"region-map: {branch.size} cells, {n_acc} accepted")
     return EXIT_PASS
 
 

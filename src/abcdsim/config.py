@@ -31,6 +31,7 @@ from .grid import Grid
 from .initial import gaussian_pair, random_bandlimited_pair, single_mode_pair, zero_pair
 from .params import AbcdParams, params_from_physical
 from .solver import SimConfig
+from .weights import T_MIN
 
 __all__ = [
     "ConfigError",
@@ -394,7 +395,7 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
     eta0, u0 = build_initial(cfg, grid)
     t = cfg.time
     try:
-        return SimConfig(
+        sim = SimConfig(
             params=cfg.params,
             bathymetry=bathy,
             grid=grid,
@@ -409,6 +410,15 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid run setup: {exc}") from exc
+    if cfg.kind == "identity-suite" and (cfg.diag or DiagSpec()).weight_mode == "schedule":
+        # the rate checks need 5 snapshots where the scheduled window is defined
+        n_total = int(round((t.t_end - t.t_start) / t.dt))
+        steps = [*range(0, n_total, t.snapshot_every), n_total]  # the snapshot steps of run
+        late = sum(t.t_start + n * t.dt >= T_MIN for n in steps)
+        if late < 5:
+            raise ConfigError(f'bad value for "t_start" in [time]: a scheduled identity suite needs '
+                              f"5 snapshots at t >= {T_MIN}, this run has {late}")
+    return sim
 
 
 def build_region_axes(cfg: ExperimentConfig) -> tuple:

@@ -125,6 +125,98 @@ class TestRegionProperties:
             satisfies_refined_dispersion(a, c)
 
 
+def _transcribed_row(a, c, b):
+    """The refined family at one cell, transcribed from its definition: case 1
+    (c <= a) has windows in c, case 2 (a < c) the mirrored windows in a."""
+    th = REFINED_SPLIT
+    if c <= a:
+        if -1.0 <= c < th:
+            return "refined-case-1", 45.0 * a * c - (1.0 - a)
+        if th <= c < -1.0 / 3.0:
+            return "refined-case-1", 18.0 * a * c + a + c
+        if -1.0 / 3.0 <= c < -1.0 / 9.0:
+            return "refined-case-1", 27.0 * a * c - (6.0 * a + 1.0)
+        return None
+    if -1.0 - 1.0 / (6.0 * b) <= a < th:
+        return "refined-case-2", 45.0 * a * c - (1.0 - c)
+    if th <= a < -1.0 / 3.0:
+        return "refined-case-2", 18.0 * a * c + a + c
+    if -1.0 / 3.0 <= a < -1.0 / 9.0:
+        return "refined-case-2", 27.0 * a * c - (6.0 * c + 1.0)
+    return None
+
+
+def _transcribed_verdict(a, c, b):
+    """(accepted, branch, margin) of one cell: the main inequality, then the refined row."""
+    if not (a < 0.0 and c < 0.0) or c < -1.0:
+        return False, "domain-violation", math.nan
+    main = 8.0 * a * c - 3.0 * (a + c) - 2.0
+    if main > 0.0:
+        return True, "main-inequality", main
+    row = _transcribed_row(a, c, b)
+    if row is None:
+        return False, "rejected", main
+    if row[1] > 0.0:
+        return True, row[0], row[1]
+    return False, "rejected", max(main, row[1])
+
+
+def _edge_axis(b):
+    """Values straddling every window edge (each edge and its two float neighbours),
+    the domain edges 0 and -1, plus a coarse sweep that runs off the domain."""
+    edges = [-1.0 - 1.0 / (6.0 * b), -1.0, REFINED_SPLIT, -1.0 / 3.0, -1.0 / 9.0, 0.0]
+    near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+    return np.unique(np.concatenate([edges, near, np.linspace(-1.6, 0.2, 73)]))
+
+
+class TestElementwiseRegionTest:
+    """The array region test against the transcription, margins compared with ==."""
+
+    @staticmethod
+    def _same(got, want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("b", [1.0, 0.4])
+    def test_broadcast_grid_matches_the_transcription(self, b):
+        axis = _edge_axis(b)
+        v = satisfies_refined_dispersion(axis[:, None], axis, b)  # a 2-D grid, c = a on its diagonal
+        assert v.accepted.shape == v.branch.shape == v.margin.shape == (axis.size, axis.size)
+        branches = set()
+        for i, a in enumerate(axis.tolist()):
+            for j, c in enumerate(axis.tolist()):
+                accepted, branch, margin = _transcribed_verdict(a, c, b)
+                assert (v.accepted[i, j], v.branch[i, j]) == (accepted, branch), (a, c)
+                assert self._same(v.margin[i, j], margin), (a, c, v.margin[i, j], margin)
+                branches.add(branch)
+        assert branches == {"main-inequality", "refined-case-1", "refined-case-2",
+                            "rejected", "domain-violation"}
+
+    @pytest.mark.parametrize("b", [1.0, 0.4])
+    def test_scalar_calls_are_one_cell_views_with_python_types(self, b):
+        axis = _edge_axis(b)[::3].tolist()
+        for a in axis:
+            for c in axis:
+                accepted, branch, margin = _transcribed_verdict(a, c, b)
+                if branch == "domain-violation":
+                    with pytest.raises(ValueError):
+                        satisfies_refined_dispersion(a, c, b)
+                else:
+                    v = satisfies_refined_dispersion(a, c, b)
+                    assert (type(v.accepted), type(v.branch), type(v.margin)) == (bool, str, float)
+                    assert (v.accepted, v.branch, v.margin) == (accepted, branch, margin), (a, c)
+                row = refined_margin(a, c, b)
+                assert row == _transcribed_row(a, c, b), (a, c)
+                if row is not None:
+                    assert (type(row[0]), type(row[1])) == (str, float)
+
+    def test_refined_window_edge_depends_on_b(self):
+        # -1 - 1/(6b) opens the first case-2 window; c >= a puts the point in case 2
+        a = -1.0 - 1.0 / (6.0 * 0.4)
+        assert refined_margin(a, -0.5, 0.4)[0] == "refined-case-2"
+        assert refined_margin(np.nextafter(a, -np.inf), -0.5, 0.4) is None
+        assert refined_margin(a, -0.5, 1.0) is None
+
+
 class TestQuadCoeffs:
     def test_leading_pair_is_one_half(self):
         qc = quadratic_coeffs(-0.7, -0.3, 1.2)

@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import abcdsim
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
 from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _write_csv, main
 from abcdsim.config import build_region_axes, build_sim_config, fmt_float, fmt_value, parse_config
@@ -160,6 +164,16 @@ class TestIdentitySuite:
         # the checks that did run are still reported, and passed
         assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
         assert summary["residual_maxima"]["decomposition"] < 1e-6
+
+    def test_scheduled_suite_without_late_snapshots_is_rejected_before_running(self, tmp_path, capsys):
+        # 0 -> 11.1 every 0.1: two snapshots at t >= 11, too few for the rate checks
+        text = (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 11.1")
+                .replace("dt = 0.001", "dt = 0.05")
+                .replace("weight_mode = fixed", "weight_mode = schedule"))
+        out = tmp_path / "sched"
+        assert main(["run", _write_cfg(tmp_path, text, out=out)]) == 1
+        assert '"t_start" in [time]' in capsys.readouterr().err
+        assert not out.exists()
 
     def test_an_infinite_residual_fails_the_suite(self, tmp_path, monkeypatch, capsys):
         # NaN marks a value that is not defined (stencil edges, t < T_MIN) and is
@@ -381,6 +395,18 @@ class TestRegionMap:
         assert capsys.readouterr().out == f"region-map: {cells} cells, {n_acc} accepted\n"
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["cells"], summary["accepted_cells"]) == (cells, n_acc)
+
+    def test_region_map_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique without a return_* flag imports numpy.ma lazily, 8-9 ms of every map
+        code = ("import sys; from abcdsim.cli import main; rc = main(['region-map', sys.argv[1]]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        src = str(pathlib.Path(abcdsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, ABCDSIM_OUT_ROOT=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(SHIPPED_REGION_MAP)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "out" / "region_map" / "region_map.csv").exists()
 
     def test_run_subcommand_accepts_region_kind(self, tmp_path):
         out = tmp_path / "map2"

@@ -432,6 +432,30 @@ class TestBuilders:
             b = build_bathymetry(cfg)
             assert b.preset == preset
 
+    @pytest.mark.parametrize("kind, mode, t_start, t_end, every, late", [
+        ("identity-suite", "schedule", 0.0, 11.1, 2, 2),    # 11.0 and 11.1
+        ("identity-suite", "schedule", 0.0, 10.0, 2, 0),    # the window is never defined
+        ("identity-suite", "schedule", 0.0, 12.3, 10, 4),   # 11, 11.5, 12 and the last, 12.3
+        ("identity-suite", "schedule", 11.05, 11.2, 1, 4),  # one short
+        ("identity-suite", "schedule", 11.0, 11.2, 1, 5),   # just enough
+        ("identity-suite", "schedule", 0.0, 12.0, 2, 11),
+        ("identity-suite", "fixed", 0.0, 1.0, 2, None),     # a fixed window is defined throughout
+        ("decay-run", "schedule", 0.0, 1.0, 2, None),       # a decay run checks no rate
+    ])
+    def test_scheduled_identity_suite_needs_five_snapshots_from_t_min(self, kind, mode, t_start,
+                                                                     t_end, every, late):
+        base = parse_config_text(RUN_TEXT)
+        cfg = ExperimentConfig(
+            kind=kind, output_dir="o", seed=0, params=base.params, grid=base.grid,
+            bathy=base.bathy, initial=base.initial, diag=DiagSpec(weight_mode=mode),
+            time=TimeSpec(dt=0.05, t_start=t_start, t_end=t_end, snapshot_every=every),
+        )
+        if late is not None and late < 5:
+            with pytest.raises(ConfigError, match=rf'"t_start" in \[time\].* this run has {late}$'):
+                build_sim_config(cfg)
+        else:
+            assert build_sim_config(cfg).t_end == t_end
+
     def test_builder_errors_become_config_errors(self):
         bad_grid = ExperimentConfig(kind="identity-suite", output_dir="o", seed=0,
                                     grid=GridSpec(half_length=math.pi, n=63))
