@@ -182,10 +182,15 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         fixed_lambda=d.fixed_lambda if d.weight_mode == "fixed" else None,
     )
 
+    first = True
+
     def observer(state: State):
-        if not engine.records:
+        # a flag, not engine.records: reading those would evaluate the pending block
+        nonlocal first
+        if first:
             _write_state_csv(os.path.join(outdir, "initial_state.csv"), state)
-        engine.observe(state)
+            first = False
+        engine(state)
 
     result = run(sim, observer=observer)
     _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)

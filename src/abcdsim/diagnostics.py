@@ -24,7 +24,7 @@ from .bathymetry import Bathymetry, BathymetrySamples, flat_bottom
 from .classifier import QuadCoeffs, quadratic_coeffs
 from .grid import Grid
 from .params import AbcdParams
-from .solver import State, _bottom_forcing, state_h1_norm
+from .solver import State, _bottom_forcing, _h1_norm
 from .weights import T_MIN, WeightSet, scheduled_weights, weight_set
 
 __all__ = [
@@ -58,10 +58,14 @@ __all__ = [
 ]
 
 
-class _Snap:
-    """Every field the functionals read at one snapshot, and their integrals.
+_BLOCK_POINTS = 2048  # grid points per block of snapshots: B = max(1, 2048 // N)
 
-    The fields are built eagerly from the state's rfft coefficients
+
+class _Snap:
+    """Every field the functionals read at one snapshot or at a block of
+    snapshots, the rows of one weight set, and the integrals of their products.
+
+    The fields are built eagerly from the states' rfft coefficients
     (zero-padded products as in Boyd 2001, ch. 11): one stacked pass to
     the 3/2 fine grid and back for the dealiased products u^2 and u eta
     (and u h), and one stacked irfft of the whole ladder of derivatives
@@ -70,6 +74,14 @@ class _Snap:
     its own.  Over a flat bottom every bottom field is None.  With
     ladder=False only u, eta, their first derivatives (one stacked irfft)
     and the densities momentum, h1 and energy are built.
+
+    `state` is one State, or a block: a list of B States on one grid, with
+    `bs` the list of their samples.  A block costs the same 3 transforms,
+    each over the rows of all B, and its fields are contiguous (B, N)
+    arrays, so every integral is a row reduce that gives each snapshot
+    the float it gets alone; a block of one is a snapshot, with (N,)
+    fields.  `rows` holds the weight rows (see `_weight_rows`), and
+    `buffers` the ladder's arrays that an engine reuses from block to block.
     """
 
     _UV = ("du", "d2u", "cf", "cf1", "cf2", "cf3", "deta", "d2eta", "cg", "cg1", "cg2", "cg3")
@@ -77,108 +89,140 @@ class _Snap:
     _BOTTOM = ("T_w1", "Tdx_w1", "w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
     _SAMPLED = ("h", "dx_h", "dt_h", "dt_dx_h", "dtt_dx_h")
 
-    def __init__(self, state: State, bs: BathymetrySamples, p: AbcdParams | None, ladder=True):
-        g = state.grid
-        if not g.compatible(bs.grid):
+    def __init__(self, state, bs, p: AbcdParams | None, ladder=True, rows: dict | None = None,
+                 buffers: dict | None = None):
+        states, samples = ([state], [bs]) if isinstance(state, State) else (state, bs)
+        g = self.g = states[0].grid
+        if not all(g.compatible(s.grid) and g.compatible(b.grid) for s, b in zip(states, samples)):
             raise ValueError("state and bathymetry samples live on different grids")
-        self.g = g
-        self._table: dict = {}
-        self._bound: dict = {}
-        self.u, self.eta = u, eta = state.u, state.eta
+        self._integrals: dict = {}  # name tuple -> integral, see `fill`
+        y = self.coeffs = np.stack([s.coeffs for s in states], axis=1)  # (2, B, N/2 + 1)
+        f = {"u": np.array([s.u for s in states]), "eta": np.array([s.eta for s in states])}
         if ladder:
-            self._build_ladder(state, bs, p)
+            f.update(self._ladder(g, y, samples, p, {} if buffers is None else buffers))
         else:
-            self.du, self.deta = g.from_hat(state.coeffs * g._ik)
-        du, deta = self.du, self.deta
-        self.momentum = u * eta + du * deta
-        self.h1 = u**2 + eta**2 + du**2 + deta**2
+            f["du"], f["deta"] = g.from_hat(y * g._ik)
+        u, eta, du, deta = f["u"], f["eta"], f["du"], f["deta"]
+        uu, ee, dudu, dede = u**2, eta**2, du**2, deta**2
+        f["momentum"] = u * eta + du * deta
+        f["h1"] = uu + ee + dudu + dede
         if p is not None:
-            self.energy = -p.a * du**2 - p.c * deta**2 + u**2 + eta**2 + u**2 * (eta + bs.h)
+            h = np.array([b.h for b in samples])
+            f["energy"] = -p.a * dudu - p.c * dede + uu + ee + uu * (eta + h)
+        if len(states) == 1:
+            f = {k: None if v is None else v[0] for k, v in f.items()}
+        self.__dict__.update(f, **(rows or {}))
+        self._shape = f["u"].shape
 
-    def _build_ladder(self, state: State, bs: BathymetrySamples, p: AbcdParams | None):
-        g = self.g
+    @classmethod
+    def _ladder(cls, g: Grid, y, samples, p, buffers) -> dict:
         ik, d2, helm = g._ik, -g.k2, g._helm
-        y = state.coeffs
-        if not bs.zero:
-            h_hat, (T_q, T_w1) = _bottom_forcing(g, p, bs.spectra)
+        zero = samples[0].zero
+        if not zero:
+            spectra = np.stack([b.spectra for b in samples], axis=1)
+            h_hat, (T_q, T_w1) = _bottom_forcing(g, p, spectra)
             y = np.concatenate((y, h_hat[None]))
         fine = g._to_fine(y)
         prods = g._from_fine(fine * fine[0])  # u^2, u eta [, u h]
+        split = 12 + 2 * len(prods)  # the rows of u, eta and the products come first
+        names = cls._UV + cls._PRODUCTS[: split - 12] + (() if zero else cls._BOTTOM)
+        shape = (len(names),) + y.shape[1:]
+        if shape not in buffers:  # the ladder's spectra and fields
+            buffers[shape] = np.empty(shape, complex), np.empty(shape[:-1] + (g.N,))
+        rows, fields = buffers[shape]
         # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
-        tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))
-        images = np.stack((helm, ik * helm))
-        rows = [y[0] * tower, y[1] * tower, (prods[:, None] * images).reshape(-1, helm.size)]
-        names = self._UV + self._PRODUCTS[: 2 * len(prods)]
-        if not bs.zero:
-            rows.append(np.stack((
+        tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
+        images = np.stack((helm, ik * helm))[:, None]
+        np.multiply(y[0], tower, out=rows[:6])
+        np.multiply(y[1], tower, out=rows[6:12])
+        np.multiply(prods[:, None], images, out=rows[12:split].reshape((-1, 2) + y.shape[1:]))
+        if not zero:
+            np.stack((
                 T_w1, ik * T_w1, (1.0 + g.k2) * T_w1,  # T w1, T dx w1, w1 = (1 - dxx) T w1
-                helm * bs.spectra[1], T_q, helm * bs.spectra[4],
+                helm * spectra[1], T_q, helm * spectra[4],
                 helm * ((1.0 - p.a * g.k2) * y[0] + prods[1] + prods[2]),  # F = T(a dxx u + u + u(eta+h))
                 helm * ((1.0 - p.c * g.k2) * y[1] + 0.5 * prods[0]),      # G = T(c dxx eta + eta + u^2/2)
-            )))
-            names += self._BOTTOM
-        self.__dict__.update(zip(names, g.from_hat(np.concatenate(rows))))
-        if bs.zero:
-            self.__dict__.update(dict.fromkeys(self._SAMPLED + self._PRODUCTS[4:] + self._BOTTOM))
-            self.T_ueh, self.Tdx_ueh = self.T_ue, self.Tdx_ue
+            ), out=rows[split:])
+        f = dict(zip(names, np.fft.irfft(rows, n=g.N, out=fields)))
+        if zero:
+            f.update(dict.fromkeys(cls._SAMPLED + cls._PRODUCTS[4:] + cls._BOTTOM))
+            f["T_ueh"], f["Tdx_ueh"] = f["T_ue"], f["Tdx_ue"]
         else:
-            self.__dict__.update({k: getattr(bs, k) for k in self._SAMPLED})
-            self.T_ueh, self.Tdx_ueh = self.T_ue + self.T_uh, self.Tdx_ue + self.Tdx_uh
+            f.update({k: np.array([getattr(b, k) for b in samples]) for k in cls._SAMPLED})
+            f["T_ueh"], f["Tdx_ueh"] = f["T_ue"] + f["T_uh"], f["Tdx_ue"] + f["Tdx_uh"]
+        return f
 
-    def integrate(self, values) -> float:
-        """Rectangle rule of a field of this snapshot's grid."""
-        return self.g.dx * float(np.add.reduce(values))
+    def integrate(self, values):
+        """Rectangle rule over x, per snapshot of a block."""
+        return self.g.dx * np.add.reduce(values, axis=-1)
 
-    def over(self, w: WeightSet | None):
-        """gi(*names): the integral of the product of the named fields and
-        weights of w, evaluated once per snapshot; 0 if a factor is None."""
-        if w is not None and id(w) not in self._bound:
-            self.g.check(w.phi)
-            self._bound[id(w)] = w  # keeps id(w) unique while the table lives
-        fields, table, key0, integrate = self.__dict__, self._table, id(w), self.integrate
+    def __call__(self, *names):
+        """The integral of the product of the named fields and weight rows (see `fill`)."""
+        if names not in self._integrals:
+            self.fill((names,))
+        return self._integrals[names]
 
-        def gi(*names):
-            key = (key0, names)
-            value = table.get(key)
-            if value is None:
-                value, product = 0.0, None
-                for name in names:
-                    f = fields[name] if name in fields else getattr(w, name)
-                    if f is None:
-                        break
-                    product = f if product is None else product * f
-                else:
-                    value = integrate(product)
-                table[key] = value
-            return value
+    def fill(self, plan) -> None:
+        """Evaluate each integral named in plan (tuples of names) not held yet, 0 if a
+        factor is None: products, left to right, into one stack, one row reduce."""
+        fields, known = self.__dict__, self._integrals
+        todo = [names for names in dict.fromkeys(plan) if names not in known]
+        dead = {name for name, f in fields.items() if f is None}
+        live = [names for names in todo if dead.isdisjoint(names)]
+        known.update(dict.fromkeys(todo, 0.0))
+        stack = np.empty((len(live),) + self._shape)
+        for row, names in zip(stack, live):
+            product = fields[names[0]]
+            for name in names[1:]:
+                product = np.multiply(product, fields[name], out=row)
+            if product is not row:
+                row[...] = product
+        sums = self.g.dx * np.add.reduce(stack, axis=-1)
+        known.update(zip(live, sums if sums.ndim > 1 else sums.tolist()))
 
-        return gi
+
+def _window(g: Grid, lam) -> dict:
+    """sech^2(x/lam) and the indicator of |x| <= lam."""
+    return {"sech2": 1.0 / np.cosh(g.x / lam) ** 2, "inside": (np.abs(g.x) <= lam).astype(float)}
+
+
+def _weight_rows(g: Grid, w) -> dict:
+    """The rows the integrals read from a WeightSet: its fields, `_window` and
+    |d3phi|.  Of a list of sets, each row stacked over the list."""
+    if isinstance(w, list):
+        each = [_weight_rows(g, v) for v in w]
+        return each[0] if len(each) == 1 else {k: np.array([r[k] for r in each]) for k in each[0]}
+    g.check(w.phi)
+    return {**{f.name: getattr(w, f.name) for f in dataclass_fields(w)},
+            **_window(g, w.lam), "abs_d3phi": np.abs(w.d3phi)}
 
 
 def _zero_samples(g: Grid) -> BathymetrySamples:
     return flat_bottom().sample(g, 0.0)
 
 
-def _snapof(s: State, snap: _Snap | None, bs=None, p=None, ladder=True) -> _Snap:
-    """The caller's scratch, or a fresh one (over a flat bottom if bs is not given);
-    ladder=False for a caller that reads only u, eta, their first derivatives
-    and the densities built from them."""
-    if snap is not None:
-        return snap
-    return _Snap(s, _zero_samples(s.grid) if bs is None else bs, p, ladder)
+def _snapof(s: State, snap: _Snap | None, bs=None, p=None, ladder=True, w=None) -> _Snap:
+    """The caller's scratch (which may hold a block and carries its weight rows,
+    so s, bs and w are then not read), or a fresh one for s (over a flat bottom
+    if bs is not given) with the rows of the WeightSet w; ladder=False for a
+    caller that reads only u, eta, their first derivatives and the densities."""
+    if snap is None:
+        rows = None if w is None else _weight_rows(s.grid, w)
+        snap = _Snap(s, _zero_samples(s.grid) if bs is None else bs, p, ladder, rows)
+    return snap
 
 
 # -- global functionals --------------------------------------------------
 
 def hamiltonian_h(s: State, bs: BathymetrySamples, p: AbcdParams, snap: _Snap | None = None) -> float:
     """H_h = 1/2 int(-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2 (eta + h))."""
-    return 0.5 * _snapof(s, snap, bs, p, ladder=False).over(None)("energy")
+    return 0.5 * _snapof(s, snap, bs, p, ladder=False)("energy")
 
 
 def hamiltonian_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams,
                            snap: _Snap | None = None) -> dict:
     """The six displayed lines of the forced energy law, term by term."""
-    gi = _snapof(s, snap, bs, p).over(None)
+    gi = _snapof(s, snap, bs, p)
 
     def mix(q):  # int ((1 + c) eta + u^2/2) q
         return (1.0 + p.c) * gi("eta", q) + 0.5 * gi("u", "u", q)
@@ -195,44 +239,42 @@ def hamiltonian_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams,
 
 
 def hamiltonian_rate_rhs(s, bs, p, snap=None) -> float:
-    return float(sum(hamiltonian_rate_terms(s, bs, p, snap).values()))
+    return sum(hamiltonian_rate_terms(s, bs, p, snap).values())
 
 
 def momentum(s: State, snap: _Snap | None = None) -> float:
     """P = int(u eta + dx u dx eta), conserved over a flat bottom."""
-    return _snapof(s, snap, ladder=False).over(None)("momentum")
+    return _snapof(s, snap, ladder=False)("momentum")
 
 
 # -- virial functionals --------------------------------------------------
 
 def virial_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """I = int phi (u eta + dx u dx eta)."""
-    return _snapof(s, snap, ladder=False).over(w)("phi", "momentum")
+    return _snapof(s, snap, ladder=False, w=w)("phi", "momentum")
 
 
 def virial_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """J = int phi' eta dx u."""
-    return _snapof(s, snap, ladder=False).over(w)("dphi", "eta", "du")
+    return _snapof(s, snap, ladder=False, w=w)("dphi", "eta", "du")
 
 
 def moving_weight_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi)(u eta + dx u dx eta)."""
-    if w.dlam == 0.0:
-        return 0.0
-    return _snapof(s, snap, ladder=False).over(w)("dt_phi", "momentum")
+    sp = _snapof(s, snap, ladder=False, w=w)
+    return sp("dt_phi", "momentum") if np.count_nonzero(sp.dlam) else 0.0
 
 
 def moving_weight_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi') eta dx u."""
-    if w.dlam == 0.0:
-        return 0.0
-    return _snapof(s, snap, ladder=False).over(w)("dt_dphi", "eta", "du")
+    sp = _snapof(s, snap, ladder=False, w=w)
+    return sp("dt_dphi", "eta", "du") if np.count_nonzero(sp.dlam) else 0.0
 
 
 def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the I rate law (static-weight part)."""
-    gi = _snapof(s, snap, bs, p).over(w)
+    gi = _snapof(s, snap, bs, p, w=w)
     return {
         "du_sq": -0.5 * p.a * gi("dphi", "du", "du"),
         "deta_sq": -0.5 * p.c * gi("dphi", "deta", "deta"),
@@ -253,13 +295,13 @@ def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: Weigh
 
 
 def virial_rate_I_rhs(s, bs, p, w, snap=None) -> float:
-    return float(sum(virial_rate_I_terms(s, bs, p, w, snap).values()))
+    return sum(virial_rate_I_terms(s, bs, p, w, snap).values())
 
 
 def virial_rate_J_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                         snap: _Snap | None = None) -> dict:
     """All integral groups of the J rate law (static-weight part)."""
-    gi = _snapof(s, snap, bs, p).over(w)
+    gi = _snapof(s, snap, bs, p, w=w)
     return {
         "eta_sq": (1.0 + p.c) * gi("dphi", "eta", "eta"),
         "deta_sq": -p.c * gi("dphi", "deta", "deta"),
@@ -282,14 +324,13 @@ def virial_rate_J_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: Weigh
 
 
 def virial_rate_J_rhs(s, bs, p, w, snap=None) -> float:
-    return float(sum(virial_rate_J_terms(s, bs, p, w, snap).values()))
+    return sum(virial_rate_J_terms(s, bs, p, w, snap).values())
 
 
 # -- decomposition of the mixed virial rate ------------------------------
 
-def _grouped_virial_rate(p, alpha, w, sp: _Snap) -> dict:
+def _grouped_virial_rate(p, alpha, gi: _Snap) -> dict:
     """Q, SQ, NQ and NH of virial_rate_decomposition, without the moving-window parts."""
-    gi = sp.over(w)
     a, c = p.a, p.c
 
     q = (
@@ -318,7 +359,7 @@ def _grouped_virial_rate(p, alpha, w, sp: _Snap) -> dict:
         + p.c1 * gi("phi", "eta", "dtt_dx_h")
         + gi("phi", "u", "w1")
     )
-    return {"Q": float(q), "SQ": float(sq), "NQ": float(nq), "NH": float(nh)}
+    return {"Q": q, "SQ": sq, "NQ": nq, "NH": nh}
 
 
 def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
@@ -328,9 +369,9 @@ def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
     linear part SQ, nonlinear part NQ, bottom part NH, plus the moving
     window corrections.  Q + SQ + NQ + NH equals the I rate plus alpha
     times the J rate identically."""
-    sp = _snapof(s, snap, bs, p)
+    sp = _snapof(s, snap, bs, p, w=w)
     return {
-        **_grouped_virial_rate(p, alpha, w, sp),
+        **_grouped_virial_rate(p, alpha, sp),
         "movingI": moving_weight_I(s, w, sp),
         "movingJ": alpha * moving_weight_J(s, w, sp),
     }
@@ -346,22 +387,20 @@ _CANON_CORR = (("D11", "cf"), ("D12", "cf1"), ("D21", "cg"), ("D22", "cg1"))
 def quadratic_form_fg(s: State, qc: QuadCoeffs, w: WeightSet,
                       snap: _Snap | None = None) -> float:
     """The leading quadratic part rewritten in canonical variables."""
-    gi = _snapof(s, snap).over(w)
+    gi = _snapof(s, snap, w=w)
     main = sum(getattr(qc, k) * gi("dphi", f, f) for k, f in _CANON_MAIN)
     corr = sum(getattr(qc, k) * gi("d3phi", f, f) for k, f in _CANON_CORR)
-    return float(main + corr)
+    return main + corr
 
 
 def quadratic_form_scale(s: State, qc: QuadCoeffs, w: WeightSet,
                          snap: _Snap | None = None) -> float:
     """Sum of absolute contributions, a robust relative-error scale."""
-    sp = _snapof(s, snap)
-    gi = sp.over(w)
-    abs_d3phi = np.abs(w.d3phi)
-    pieces = [abs(getattr(qc, k)) * gi("dphi", f, f) for k, f in _CANON_MAIN] + [
-        abs(getattr(qc, k)) * sp.integrate(abs_d3phi * getattr(sp, f) ** 2) for k, f in _CANON_CORR
+    sp = _snapof(s, snap, w=w)
+    pieces = [abs(getattr(qc, k)) * sp("dphi", f, f) for k, f in _CANON_MAIN] + [
+        abs(getattr(qc, k)) * sp.integrate(sp.abs_d3phi * getattr(sp, f) ** 2) for k, f in _CANON_CORR
     ]
-    return float(sum(abs(x) for x in pieces))
+    return sum(abs(x) for x in pieces)
 
 
 def canonical_identity_residuals(s: State, w: WeightSet, snap: _Snap | None = None) -> tuple:
@@ -370,13 +409,13 @@ def canonical_identity_residuals(s: State, w: WeightSet, snap: _Snap | None = No
     First: int phi' u^2 = int phi' (f^2 + 2 f'^2 + f''^2) - int phi''' f^2.
     Second: int phi' u T u = int phi' (f^2 + f'^2) - 1/2 int phi''' f^2.
     """
-    gi = _snapof(s, snap).over(w)
+    gi = _snapof(s, snap, w=w)
     f0, f1, w3 = gi("dphi", "cf", "cf"), gi("dphi", "cf1", "cf1"), gi("d3phi", "cf", "cf")
     lhs1 = gi("dphi", "u", "u")
     rhs1 = f0 + 2.0 * f1 + gi("dphi", "cf2", "cf2") - w3
     lhs2 = gi("dphi", "u", "cf")
     rhs2 = f0 + f1 - 0.5 * w3
-    return abs(lhs1 - rhs1) / max(1.0, abs(lhs1)), abs(lhs2 - rhs2) / max(1.0, abs(lhs2))
+    return abs(lhs1 - rhs1) / np.maximum(1.0, abs(lhs1)), abs(lhs2 - rhs2) / np.maximum(1.0, abs(lhs2))
 
 
 def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
@@ -389,7 +428,7 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
         h_units    = the bottom-norm and t^{-3/2} unit terms (multiply C)
     so that bound(C, eps) = quad_delta + C * (eps * u2_weight + h_units).
     """
-    gi = _snapof(s, snap).over(w)
+    gi = _snapof(s, snap, w=w)
     g = s.grid
     x0 = gi("dphi", "u", "u")
     quad = 4.0 * delta * (
@@ -412,14 +451,14 @@ def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
 def local_energy(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                  snap: _Snap | None = None) -> float:
     """E_loc = 1/2 int psi (-a (dx u)^2 - c (dx eta)^2 + u^2 + eta^2 + u^2(eta+h))."""
-    return 0.5 * _snapof(s, snap, bs, p, ladder=False).over(w)("psi", "energy")
+    return 0.5 * _snapof(s, snap, bs, p, ladder=False, w=w)("psi", "energy")
 
 
 def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
                             snap: _Snap | None = None) -> dict:
     """Rate of the localized energy: main line, moving-window part SNL0,
     commutator part SNL1, bottom part SNLh (0 over a flat bottom)."""
-    gi = _snapof(s, snap, bs, p).over(w)
+    gi = _snapof(s, snap, bs, p, w=w)
     a, c = p.a, p.c
 
     main = (
@@ -429,7 +468,7 @@ def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: W
         + a * c * gi("dpsi", "cf3", "cg3")
     )
 
-    snl0 = 0.0 if w.dlam == 0.0 else 0.5 * gi("dt_psi", "energy")
+    snl0 = 0.5 * gi("dt_psi", "energy") if np.count_nonzero(gi.dlam) else 0.0
 
     # T_ueh = T(u (eta + h)); the last two lines hold dx(psi' dx u) and dx(psi' dx eta)
     snl1 = (
@@ -463,11 +502,11 @@ def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: W
         - gi("d2psi", "big_g", "T_w1")
         - 2.0 * gi("dpsi", "big_g", "Tdx_w1")
     )
-    return {"main": float(main), "snl0": float(snl0), "snl1": float(snl1), "snlh": float(snlh)}
+    return {"main": main, "snl0": snl0, "snl1": snl1, "snlh": snlh}
 
 
 def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
-    return float(sum(local_energy_rate_terms(s, bs, p, w, snap).values()))
+    return sum(local_energy_rate_terms(s, bs, p, w, snap).values())
 
 
 # -- decay metrics -------------------------------------------------------
@@ -475,13 +514,13 @@ def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
 def windowed_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """int sech^2(x/lam) (u^2 + eta^2 + (dx u)^2 + (dx eta)^2)."""
     sp = _snapof(s, snap, ladder=False)
-    return sp.integrate(1.0 / np.cosh(s.grid.x / lam) ** 2 * sp.h1)
+    return sp.integrate(_window(sp.g, lam)["sech2"] * sp.h1)
 
 
 def interval_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
     """Same local H1 density integrated over the plain interval |x| <= lam."""
     sp = _snapof(s, snap, ladder=False)
-    return sp.integrate((np.abs(s.grid.x) <= lam).astype(float) * sp.h1)
+    return sp.integrate(_window(sp.g, lam)["inside"] * sp.h1)
 
 
 class _RunningTrapezoid:
@@ -521,8 +560,8 @@ def decay_metrics(states: list, alpha: float = 0.0) -> DecaySeries:
     ts, lams, wins, ints, runs, hcals = [], [], [], [], [], []
     running = _RunningTrapezoid()
     for st in states:
-        sp = _snapof(st, None, ladder=False)
         w = scheduled_weights(st.grid, st.t)
+        sp = _snapof(st, None, ladder=False, w=w)
         ts.append(st.t)
         lams.append(w.lam)
         wins.append(windowed_h1(st, w.lam, sp))
@@ -593,6 +632,14 @@ class DiagnosticsEngine:
     weight_mode is "schedule" (window scale lambda(t), moving) or
     "fixed" with fixed_lambda (static weight).  The engine accumulates
     the running decay integral, so feed snapshots in time order.
+
+    It evaluates blocks of B = max(1, 2048 // N) snapshots (see `_Snap`):
+    one ladder, one table of integrals and one pass of each rate law on
+    arrays of B values per block.  As `run`'s observer (`__call__`) it
+    buffers a block until it is full or the grid or the presence of
+    weights (t = T_MIN, schedule mode) changes.  `observe` (a block of one)
+    and `records`, `series`, `table` and `rate_residuals` evaluate the
+    pending snapshots first.
     """
 
     def __init__(self, params: AbcdParams, bathymetry: Bathymetry, alpha: float = 0.0,
@@ -607,68 +654,88 @@ class DiagnosticsEngine:
         self.weight_mode = weight_mode
         self.fixed_lambda = fixed_lambda
         self.qc = quadratic_coeffs(params.a, params.c, alpha)
-        self.records: list[DiagnosticsRecord] = []
+        self._records: list[DiagnosticsRecord] = []
+        self._pending: list[State] = []
         self._decay = _RunningTrapezoid()
-        self._fixed_weights: dict[tuple, WeightSet] = {}  # static window per grid (L, N)
+        self._fixed_weights: dict[tuple, dict] = {}  # rows of the static window per grid (L, N)
+        self._plans: dict[bool, tuple] = {}  # integrals of the last block with/without weights
+        self._buffers: dict = {}  # the ladder arrays, reused: new ones fault their pages in anew
 
-    def _weights(self, grid: Grid, t: float):
+    @property
+    def records(self) -> list:
+        self._flush()
+        return self._records
+
+    def _weights(self, grid: Grid, ts: list):
         if self.weight_mode == "fixed":
             key = (grid.L, grid.N)
             if key not in self._fixed_weights:
-                self._fixed_weights[key] = weight_set(grid, self.fixed_lambda)
+                self._fixed_weights[key] = _weight_rows(grid, weight_set(grid, self.fixed_lambda))
             return self._fixed_weights[key]
-        if t < T_MIN:
-            return None
-        return scheduled_weights(grid, t)
+        return _weight_rows(grid, [scheduled_weights(grid, t) for t in ts]) if ts[0] >= T_MIN else None
+
+    def __call__(self, state: State) -> None:
+        """Observer protocol for solver.run: buffer the snapshot."""
+        head = self._pending[:1]
+        if head and not (head[0].grid.compatible(state.grid) and (
+                self.weight_mode == "fixed" or (head[0].t >= T_MIN) == (state.t >= T_MIN))):
+            self._flush()
+        self._pending.append(state)
+        if len(self._pending) >= max(1, _BLOCK_POINTS // state.grid.N):
+            self._flush()
 
     def observe(self, state: State) -> DiagnosticsRecord:
-        p = self.params
-        bs = self.bathymetry.sample(state.grid, state.t)
-        sp = _Snap(state, bs, p)
-        rec = DiagnosticsRecord(
-            t=state.t,
-            h1_norm=state_h1_norm(state),
-            hamiltonian=hamiltonian_h(state, bs, p, sp),
-            hamiltonian_rate=hamiltonian_rate_rhs(state, bs, p, sp),
-            momentum=momentum(state, sp),
-        )
-        w = self._weights(state.grid, state.t)
-        if w is not None:
-            alpha = self.alpha
-            rec.virial_i = virial_I(state, w, sp)
-            rec.virial_j = virial_J(state, w, sp)
-            rec.virial_mix = rec.virial_i + alpha * rec.virial_j
-            terms_i = virial_rate_I_terms(state, bs, p, w, sp)
-            terms_j = virial_rate_J_terms(state, bs, p, w, sp)
-            rate_i, rate_j = float(sum(terms_i.values())), float(sum(terms_j.values()))
-            rec.moving_i = moving_weight_I(state, w, sp)
-            rec.moving_j = moving_weight_J(state, w, sp)
-            rec.virial_i_rate = rate_i + rec.moving_i
-            rec.virial_j_rate = rate_j + rec.moving_j
-            dec = _grouped_virial_rate(p, alpha, w, sp)
-            rec.q_part, rec.sq_part = dec["Q"], dec["SQ"]
-            rec.nq_part, rec.nh_part = dec["NQ"], dec["NH"]
-            grouped = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"]
-            direct = rate_i + alpha * rate_j
-            term_scale = sum(abs(v) for v in terms_i.values()) + sum(
-                abs(alpha * v) for v in terms_j.values()
-            )
-            rec.decomposition_residual = abs(grouped - direct) / max(term_scale, 1e-30)
-            rec.q_canonical = quadratic_form_fg(state, self.qc, w, sp)
-            qscale = quadratic_form_scale(state, self.qc, w, sp)
-            rec.change_var_residual = abs(dec["Q"] - rec.q_canonical) / max(qscale, 1e-30)
-            rec.canon_l2_residual, rec.canon_nonlocal_residual = canonical_identity_residuals(state, w, sp)
-            rec.local_energy = local_energy(state, bs, p, w, sp)
-            rec.local_energy_rate = local_energy_rate_rhs(state, bs, p, w, sp)
-            if math.isfinite(w.lam):
-                rec.windowed_h1 = windowed_h1(state, w.lam, sp)
-                rec.interval_h1 = interval_h1(state, w.lam, sp)
-                rec.running_decay_integral = self._decay.add(state.t, rec.windowed_h1 / w.lam)
-        self.records.append(rec)
-        return rec
+        self._flush()
+        return self._observe_block([state])[0]
 
-    # observer protocol for solver.run
-    __call__ = observe
+    def _flush(self) -> None:
+        states, self._pending = self._pending, []
+        if states:
+            self._observe_block(states)
+
+    def _observe_block(self, states: list) -> list:
+        """Append and return the records of a block (see the class docstring)."""
+        p, alpha, g, n = self.params, self.alpha, states[0].grid, len(states)
+        bs = [self.bathymetry.sample(g, s.t) for s in states]
+        w = self._weights(g, [s.t for s in states])
+        sp = _Snap(states, bs, p, rows=w, buffers=self._buffers)
+        sp.fill(self._plans.get(w is None, ()))
+        col = {"t": np.array([s.t for s in states]), "h1_norm": _h1_norm(g, sp.coeffs),
+               "hamiltonian": hamiltonian_h(states, bs, p, sp), "momentum": momentum(states, sp),
+               "hamiltonian_rate": hamiltonian_rate_rhs(states, bs, p, sp)}
+        if w is not None:
+            terms_i = virial_rate_I_terms(states, bs, p, w, sp)
+            terms_j = virial_rate_J_terms(states, bs, p, w, sp)
+            rate_i, rate_j = sum(terms_i.values()), sum(terms_j.values())
+            dec = _grouped_virial_rate(p, alpha, sp)
+            grouped, direct = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"], rate_i + alpha * rate_j
+            term_scale = sum(abs(v) for v in terms_i.values()) + sum(
+                abs(alpha * v) for v in terms_j.values())
+            col.update(virial_i=virial_I(states, w, sp), virial_j=virial_J(states, w, sp),
+                       moving_i=moving_weight_I(states, w, sp), moving_j=moving_weight_J(states, w, sp),
+                       q_part=dec["Q"], sq_part=dec["SQ"], nq_part=dec["NQ"], nh_part=dec["NH"],
+                       decomposition_residual=abs(grouped - direct) / np.maximum(term_scale, 1e-30),
+                       q_canonical=quadratic_form_fg(states, self.qc, w, sp),
+                       local_energy=local_energy(states, bs, p, w, sp),
+                       local_energy_rate=local_energy_rate_rhs(states, bs, p, w, sp))
+            col["virial_mix"] = col["virial_i"] + alpha * col["virial_j"]
+            col["virial_i_rate"], col["virial_j_rate"] = rate_i + col["moving_i"], rate_j + col["moving_j"]
+            qscale = quadratic_form_scale(states, self.qc, w, sp)
+            col["change_var_residual"] = abs(dec["Q"] - col["q_canonical"]) / np.maximum(qscale, 1e-30)
+            canon = canonical_identity_residuals(states, w, sp)
+            col["canon_l2_residual"], col["canon_nonlocal_residual"] = canon
+            if np.isfinite(sp.lam).all():
+                col["windowed_h1"], col["interval_h1"] = sp("sech2", "h1"), sp("inside", "h1")
+
+        def each(v) -> list:  # n Python floats, one per snapshot
+            return v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * n
+        records = [DiagnosticsRecord(**dict(zip(col, row))) for row in zip(*map(each, col.values()))]
+        if "windowed_h1" in col:  # record by record, in time order
+            for rec, lam in zip(records, each(sp.lam)):
+                rec.running_decay_integral = self._decay.add(rec.t, rec.windowed_h1 / lam)
+        self._records.extend(records)
+        self._plans[w is None] = tuple(sp._integrals)
+        return records
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])

@@ -116,15 +116,5 @@ class Grid:
         wh[..., -1] = 0.0
         return wh
 
-    def mult(self, u, v):
-        """Dealiased pointwise product via zero padding.
-
-        Returns the projection of u*v onto the resolved (Nyquist-free)
-        band, computed on a fine grid so no aliased images fold back.
-        """
-        uf = self._to_fine(self.hat(u))
-        vf = self._to_fine(self.hat(v))
-        return self.from_hat(self._from_fine(uf * vf))
-
     def __repr__(self):
         return f"Grid(L={self.L!r}, N={self.N})"

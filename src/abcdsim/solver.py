@@ -105,17 +105,18 @@ def _carrying(s: State, y) -> State:
     return s
 
 
-def _h1_norm(g: Grid, y) -> float:
-    """H1 x H1 norm of the fields whose rfft coefficients are the rows of y."""
+def _h1_norm(g: Grid, y):
+    """H1 x H1 norm of the fields whose rfft coefficients are the rows of y;
+    of a (2, B, N/2 + 1) block, one norm per snapshot."""
     w = (1.0 + g.k2) * np.sum(np.abs(y) ** 2, axis=0)
     # rfft half-spectrum Parseval: double the interior modes
-    w[1:-1] *= 2.0
-    return float(np.sqrt(g.dx / g.N * np.sum(w)))
+    w[..., 1:-1] *= 2.0
+    return np.sqrt(g.dx / g.N * np.sum(w, axis=-1))
 
 
 def state_h1_norm(s: State) -> float:
     """H1 x H1 norm of (eta, u), computed spectrally."""
-    return _h1_norm(s.grid, s.coeffs)
+    return float(_h1_norm(s.grid, s.coeffs))
 
 
 def _state(g: Grid, y, t: float) -> State:
@@ -279,7 +280,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     s = State(g, cfg.eta0, cfg.u0, cfg.t_start)
     y = s.coeffs
-    norm0 = _h1_norm(g, y)
+    norm0 = float(_h1_norm(g, y))
 
     result = RunResult(final_state=s)
 
@@ -298,7 +299,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
             if not (np.all(np.isfinite(s.eta)) and np.all(np.isfinite(s.u))):
                 raise NonFinite(f"non-finite field values at t={s.t}")
             if norm0 > 0.0:
-                norm = _h1_norm(g, y)
+                norm = float(_h1_norm(g, y))
                 if norm > cfg.blowup_factor * norm0:
                     raise BlowUp(
                         f"H1 norm {norm} exceeded {cfg.blowup_factor} x initial {norm0} at t={s.t}"

@@ -177,16 +177,18 @@ class TestIdentitySuite:
 
     def test_an_infinite_residual_fails_the_suite(self, tmp_path, monkeypatch, capsys):
         # NaN marks a value that is not defined (stencil edges, t < T_MIN) and is
-        # skipped; an inf is a residual that blew up and must not be dropped
-        observe = DiagnosticsEngine.observe
+        # skipped; an inf is a residual that blew up and must not be dropped.
+        # The CLI's engine evaluates its snapshots in blocks, so the third
+        # record is spoiled once the block that holds it is evaluated.
+        observe_block = DiagnosticsEngine._observe_block
 
-        def observe_then_spoil(engine, state):
-            rec = observe(engine, state)
-            if len(engine.records) == 3:
-                rec.decomposition_residual = math.inf
-            return rec
+        def observe_then_spoil(engine, states):
+            records = observe_block(engine, states)
+            if len(engine.records) >= 3:
+                engine.records[2].decomposition_residual = math.inf
+            return records
 
-        monkeypatch.setattr(DiagnosticsEngine, "observe", observe_then_spoil)
+        monkeypatch.setattr(DiagnosticsEngine, "_observe_block", observe_then_spoil)
         out = tmp_path / "run"
         assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 3
         assert "no finite value for decomposition -> FAIL" in capsys.readouterr().out

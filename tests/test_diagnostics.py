@@ -1,5 +1,7 @@
 """Conserved functionals, rate laws, and the regrouped virial identities."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -451,6 +453,121 @@ class TestObserveCost:
             # no forward transform of u or eta: run handed over their coefficients
             rows = [r for f in forward for r in f]
             assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for r in rows)
+
+    @pytest.mark.parametrize("bottom, mode, t_start", [
+        (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0),
+        (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0),
+    ], ids=["flat-fixed", "bump-schedule"])
+    def test_counts_per_block(self, bottom, mode, t_start, monkeypatch):
+        # as run's observer the engine evaluates blocks of B = 2048 // 512 = 4
+        # snapshots: 3 transforms and B bottom samples per block
+        g = Grid(40 * np.pi, 512)
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        states = []
+        run(SimConfig(params=self.P, bathymetry=bottom, grid=g, eta0=eta, u0=u, dt=1e-3,
+                      t_start=t_start, t_end=t_start + 0.035, snapshot_every=5),
+            observer=states.append)
+        assert len(states) == 8  # two blocks
+        eng = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
+
+        calls, forward = {}, []
+
+        def counting(fn, key, inputs=None):
+            def wrapped(*args, **kwargs):
+                calls[key] = calls.get(key, 0) + 1
+                if inputs is not None:
+                    inputs.append(np.atleast_2d(args[0]).reshape(-1, args[0].shape[-1]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft", forward))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
+        monkeypatch.setattr(Grid, "check", counting(Grid.check, "check"))
+        monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
+        for block in (states[:4], states[4:]):
+            calls.clear()
+            forward.clear()
+            for s in block[:3]:
+                eng(s)
+            assert calls == {}  # buffered: nothing is evaluated before the block is full
+            eng(block[3])
+            assert calls["fft"] == 3
+            assert calls.get("check", 0) <= 4
+            assert calls["sample"] == 4
+            rows = [r for f in forward for r in f]
+            assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for s in block for r in rows)
+        assert len(eng.records) == 8
+
+
+class TestBlocks:
+    """Records from `run(cfg, observer=eng)`, which evaluates snapshots in
+    blocks, equal field by field those of one `observe` per snapshot."""
+
+    P = AbcdParams(a=-1.0, c=-1.0, a1=0.3, c1=0.56)
+
+    def _engines(self, bottom, mode, t_start, n_steps, n=256):
+        g = Grid(40 * np.pi, n)
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        cfg = SimConfig(params=self.P, bathymetry=bottom, grid=g, eta0=eta, u0=u, dt=1e-3,
+                        t_start=t_start, t_end=t_start + n_steps * 1e-3, snapshot_every=5)
+        buffered = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
+        run(cfg, observer=buffered)
+        states = run(cfg).snapshots
+        eager = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
+        for s in states:
+            eager.observe(s)
+        return buffered, eager, states
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got.records) == len(want.records)
+        for a, b in zip(got.records, want.records):
+            for name in DiagnosticsRecord.field_names():
+                x, y = getattr(a, name), getattr(b, name)
+                assert x == y or (math.isnan(x) and math.isnan(y)), (a.t, name)
+
+    def test_flat_with_fixed_window(self):
+        # N = 256: blocks of 8, and 21 snapshots leave a partial block
+        buffered, eager, states = self._engines(flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0),
+                                                0.0, 100)
+        assert len(states) % 8 != 0
+        self._same(buffered, eager)
+
+    def test_decaying_bump_with_scheduled_window(self):
+        buffered, eager, states = self._engines(decaying_bump(1e-2, width=2.0, t0=11.0),
+                                                dict(weight_mode="schedule"), 11.0, 100)
+        assert eager.records[0].moving_i != 0.0 and eager.records[0].nh_part != 0.0
+        self._same(buffered, eager)
+
+    def test_a_schedule_run_that_crosses_t_min(self):
+        # snapshots before t = 11 carry no weights and form their own blocks
+        buffered, eager, states = self._engines(decaying_bump(1e-3, width=2.0, t0=10.9),
+                                                dict(weight_mode="schedule"), 10.97, 75)
+        early = [s.t < 11.0 for s in states]
+        assert any(early) and not all(early)
+        assert np.isnan(eager.records[0].virial_i) and np.isfinite(eager.records[-1].virial_i)
+        self._same(buffered, eager)
+
+    def test_blocks_of_four_at_n512(self):
+        buffered, eager, states = self._engines(decaying_bump(1e-2, width=2.0, t0=11.0),
+                                                dict(weight_mode="schedule"), 11.0, 50, n=512)
+        assert len(states) % 4 != 0
+        self._same(buffered, eager)
+
+    def test_reads_and_eager_calls_keep_every_snapshot_in_time_order(self):
+        _, eager, states = self._engines(flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0),
+                                         0.0, 100)
+        eng = DiagnosticsEngine(self.P, flat_bottom(), alpha=0.5, weight_mode="fixed", fixed_lambda=10.0)
+        for s in states[:10]:
+            eng(s)
+        assert len(eng.records) == 10  # a read evaluates the pending snapshots
+        for s in states[10:13]:
+            eng(s)
+        assert eng.observe(states[13]).t == states[13].t  # after the three pending ones
+        for s in states[14:]:
+            eng(s)
+        assert [r.t for r in eng.records] == [s.t for s in states]
+        self._same(eng, eager)
 
 
 class TestEngineMatchesPublicFunctions:
