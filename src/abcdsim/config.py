@@ -180,6 +180,15 @@ class DiagSpec:
     fixed_lambda: float = 10.0
     residual_threshold: float = 1e-6
 
+    def __post_init__(self):
+        # a NaN alpha or threshold fails every check, and an infinite window
+        # (phi = 0) or threshold passes every check vacuously
+        if not math.isfinite(self.alpha):
+            raise ConfigError('bad value for "alpha" in [diagnostics]: must be finite')
+        for key in ("fixed_lambda", "residual_threshold"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f'bad value for "{key}" in [diagnostics]: must be positive and finite')
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -412,9 +421,7 @@ def build_sim_config(cfg: ExperimentConfig) -> SimConfig:
         raise ConfigError(f"invalid run setup: {exc}") from exc
     if cfg.kind == "identity-suite" and (cfg.diag or DiagSpec()).weight_mode == "schedule":
         # the rate checks need 5 snapshots where the scheduled window is defined
-        n_total = int(round((t.t_end - t.t_start) / t.dt))
-        steps = [*range(0, n_total, t.snapshot_every), n_total]  # the snapshot steps of run
-        late = sum(t.t_start + n * t.dt >= T_MIN for n in steps)
+        late = sum(t.t_start + n * t.dt >= T_MIN for n in sim.snapshot_steps())
         if late < 5:
             raise ConfigError(f'bad value for "t_start" in [time]: a scheduled identity suite needs '
                               f"5 snapshots at t >= {T_MIN}, this run has {late}")

@@ -152,10 +152,6 @@ class _Snap:
             f["T_ueh"], f["Tdx_ueh"] = f["T_ue"] + f["T_uh"], f["Tdx_ue"] + f["Tdx_uh"]
         return f
 
-    def integrate(self, values):
-        """Rectangle rule over x, per snapshot of a block."""
-        return self.g.dx * np.add.reduce(values, axis=-1)
-
     def __call__(self, *names):
         """The integral of the product of the named fields and weight rows (see `fill`)."""
         if names not in self._integrals:
@@ -398,7 +394,7 @@ def quadratic_form_scale(s: State, qc: QuadCoeffs, w: WeightSet,
     """Sum of absolute contributions, a robust relative-error scale."""
     sp = _snapof(s, snap, w=w)
     pieces = [abs(getattr(qc, k)) * sp("dphi", f, f) for k, f in _CANON_MAIN] + [
-        abs(getattr(qc, k)) * sp.integrate(sp.abs_d3phi * getattr(sp, f) ** 2) for k, f in _CANON_CORR
+        abs(getattr(qc, k)) * sp(f, f, "abs_d3phi") for k, f in _CANON_CORR
     ]
     return sum(abs(x) for x in pieces)
 
@@ -511,30 +507,39 @@ def local_energy_rate_rhs(s, bs, p, w, snap=None) -> float:
 
 # -- decay metrics -------------------------------------------------------
 
-def windowed_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
+def windowed_h1(s: State, lam: float) -> float:
     """int sech^2(x/lam) (u^2 + eta^2 + (dx u)^2 + (dx eta)^2)."""
-    sp = _snapof(s, snap, ladder=False)
-    return sp.integrate(_window(sp.g, lam)["sech2"] * sp.h1)
+    return _Snap(s, _zero_samples(s.grid), None, ladder=False, rows=_window(s.grid, lam))("sech2", "h1")
 
 
-def interval_h1(s: State, lam: float, snap: _Snap | None = None) -> float:
+def interval_h1(s: State, lam: float) -> float:
     """Same local H1 density integrated over the plain interval |x| <= lam."""
-    sp = _snapof(s, snap, ladder=False)
-    return sp.integrate(_window(sp.g, lam)["inside"] * sp.h1)
+    return _Snap(s, _zero_samples(s.grid), None, ladder=False, rows=_window(s.grid, lam))("inside", "h1")
 
 
 class _RunningTrapezoid:
-    """Cumulative trapezoid of a series fed one sample at a time, in time order."""
+    """Cumulative trapezoid of a series fed in time order, a block of samples at a time."""
 
     def __init__(self):
-        self.total, self._prev = 0.0, None
+        self._last = None  # (t, value, integral) of the last sample fed
 
-    def add(self, t: float, value: float) -> float:
-        if self._prev is not None:
-            t0, v0 = self._prev
-            self.total += 0.5 * (value + v0) * (t - t0)
-        self._prev = (t, value)
-        return self.total
+    def add(self, t, values) -> np.ndarray:
+        """The integral at each of the times t (after those fed before), from 0 at the first."""
+        t, v = np.broadcast_arrays(t, values)
+        t0, v0, total = self._last or (t[0], v[0], 0.0)
+        steps = 0.5 * (v + np.append(v0, v[:-1])) * np.diff(t, prepend=t0)
+        out = np.add.accumulate(np.append(total, steps))[1:]  # one sum after another, as a loop adds
+        self._last = t[-1], v[-1], out[-1]
+        return out
+
+
+def _decay_columns(states: list, sp: _Snap, alpha: float, running: _RunningTrapezoid) -> tuple:
+    """(windowed H1, interval H1, running integral of windowed/lambda, I + alpha J)
+    of a block of states whose snapshot sp has its weight rows set; feed the
+    blocks in time order, since `running` carries the integral across them."""
+    windowed = sp("sech2", "h1")
+    return (windowed, sp("inside", "h1"), running.add([s.t for s in states], windowed / sp.lam),
+            virial_I(states, None, sp) + alpha * virial_J(states, None, sp))
 
 
 @dataclass
@@ -548,29 +553,23 @@ class DecaySeries:
 
 
 def decay_metrics(states: list, alpha: float = 0.0) -> DecaySeries:
-    """Windowed-decay series along a trajectory with t >= T_MIN throughout.
+    """Windowed-decay series along a trajectory on one grid with t >= T_MIN throughout.
 
     running_integral is the cumulative trapezoid of windowed/lambda; hcal
-    is I + alpha J with the scheduled moving weight.
+    is I + alpha J with the scheduled moving weight.  The snapshots are
+    evaluated in blocks, as the engine does.
     """
     if len(states) < 2:
         raise ValueError("trajectory too short for decay metrics (need at least 2 snapshots)")
     if states[0].t < T_MIN:
         raise ValueError(f"decay metrics need t >= {T_MIN}, trajectory starts at {states[0].t}")
-    ts, lams, wins, ints, runs, hcals = [], [], [], [], [], []
-    running = _RunningTrapezoid()
-    for st in states:
-        w = scheduled_weights(st.grid, st.t)
-        sp = _snapof(st, None, ladder=False, w=w)
-        ts.append(st.t)
-        lams.append(w.lam)
-        wins.append(windowed_h1(st, w.lam, sp))
-        ints.append(interval_h1(st, w.lam, sp))
-        runs.append(running.add(st.t, wins[-1] / w.lam))
-        hcals.append(virial_I(st, w, sp) + alpha * virial_J(st, w, sp))
-    return DecaySeries(t=np.array(ts), lam=np.array(lams), windowed=np.array(wins),
-                       interval=np.array(ints), running_integral=np.array(runs),
-                       hcal=np.array(hcals))
+    g, running, blocks = states[0].grid, _RunningTrapezoid(), []
+    size = max(1, _BLOCK_POINTS // g.N)
+    for block in (states[i:i + size] for i in range(0, len(states), size)):
+        w = [scheduled_weights(g, s.t) for s in block]
+        sp = _Snap(block, [_zero_samples(g)] * len(block), None, ladder=False, rows=_weight_rows(g, w))
+        blocks.append(([s.t for s in block], [v.lam for v in w], *_decay_columns(block, sp, alpha, running)))
+    return DecaySeries(*map(np.hstack, zip(*blocks)))
 
 
 # -- finite differences along snapshot series ----------------------------
@@ -646,8 +645,8 @@ class DiagnosticsEngine:
                  weight_mode: str = "schedule", fixed_lambda: float | None = None):
         if weight_mode not in ("schedule", "fixed"):
             raise ValueError(f"unknown weight_mode {weight_mode!r}")
-        if weight_mode == "fixed" and (fixed_lambda is None or fixed_lambda <= 0.0):
-            raise ValueError("fixed weight_mode needs a positive fixed_lambda")
+        if weight_mode == "fixed" and (fixed_lambda is None or not 0.0 < fixed_lambda < math.inf):
+            raise ValueError("fixed weight_mode needs a positive, finite fixed_lambda")
         self.params = params
         self.bathymetry = bathymetry
         self.alpha = alpha
@@ -718,21 +717,17 @@ class DiagnosticsEngine:
                        q_canonical=quadratic_form_fg(states, self.qc, w, sp),
                        local_energy=local_energy(states, bs, p, w, sp),
                        local_energy_rate=local_energy_rate_rhs(states, bs, p, w, sp))
-            col["virial_mix"] = col["virial_i"] + alpha * col["virial_j"]
             col["virial_i_rate"], col["virial_j_rate"] = rate_i + col["moving_i"], rate_j + col["moving_j"]
             qscale = quadratic_form_scale(states, self.qc, w, sp)
             col["change_var_residual"] = abs(dec["Q"] - col["q_canonical"]) / np.maximum(qscale, 1e-30)
             canon = canonical_identity_residuals(states, w, sp)
             col["canon_l2_residual"], col["canon_nonlocal_residual"] = canon
-            if np.isfinite(sp.lam).all():
-                col["windowed_h1"], col["interval_h1"] = sp("sech2", "h1"), sp("inside", "h1")
+            col.update(zip(("windowed_h1", "interval_h1", "running_decay_integral", "virial_mix"),
+                           _decay_columns(states, sp, alpha, self._decay)))
 
         def each(v) -> list:  # n Python floats, one per snapshot
             return v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * n
         records = [DiagnosticsRecord(**dict(zip(col, row))) for row in zip(*map(each, col.values()))]
-        if "windowed_h1" in col:  # record by record, in time order
-            for rec, lam in zip(records, each(sp.lam)):
-                rec.running_decay_integral = self._decay.add(rec.t, rec.windowed_h1 / lam)
         self._records.extend(records)
         self._plans[w is None] = tuple(sp._integrals)
         return records

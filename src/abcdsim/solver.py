@@ -204,7 +204,8 @@ def max_group_speed(p: AbcdParams, g: Grid) -> float:
     """
     kmax = float(g.k[-1])
     ks = np.linspace(0.0, kmax * 1.05 + 1.0, 4096)
-    om = ks * np.sqrt((1.0 - p.a * ks**2) * (1.0 - p.c * ks**2)) / (1.0 + ks**2)
+    with np.errstate(invalid="ignore"):  # NaN where omega(k) is not real, which `run` refuses
+        om = ks * np.sqrt((1.0 - p.a * ks**2) * (1.0 - p.c * ks**2)) / (1.0 + ks**2)
     sp = np.abs(np.gradient(om, ks))
     return float(np.max(sp))
 
@@ -235,6 +236,9 @@ class SimConfig:
     def __post_init__(self):
         if self.dt == 0.0 or not np.isfinite(self.dt):
             raise ValueError(f"dt must be nonzero and finite, got {self.dt}")
+        for key in ("t_start", "t_end"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if (self.t_end - self.t_start) * self.dt <= 0.0:
             raise ValueError("sign of dt must match the direction from t_start to t_end")
         steps = (self.t_end - self.t_start) / self.dt
@@ -247,6 +251,13 @@ class SimConfig:
             raise ValueError(f"cfl_factor must lie in (0, 1], got {self.cfl_factor}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        if not 0.0 < self.blowup_factor < np.inf:  # nan or inf would turn the guard off
+            raise ValueError(f"blowup_factor must be positive and finite, got {self.blowup_factor}")
+
+    def snapshot_steps(self) -> list:
+        """The step indices of `run`'s snapshots: every snapshot_every-th step from 0, and the last."""
+        n_total = int(round((self.t_end - self.t_start) / self.dt))
+        return [*range(0, n_total, self.snapshot_every), n_total]
 
 
 @dataclass
@@ -268,13 +279,19 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
     g = cfg.grid
     speed = max_group_speed(cfg.params, g)
     dt_limit = cfg.cfl_factor * g.dx / speed
+    if not np.isfinite(dt_limit):  # a NaN limit would let every dt pass
+        raise CflViolation(
+            f"no finite CFL limit (max group speed={speed}): omega(k) is not real on the "
+            f"resolved band for a={cfg.params.a}, c={cfg.params.c}"
+        )
     if abs(cfg.dt) > dt_limit * (1.0 + 1e-12):
         raise CflViolation(
             f"dt={abs(cfg.dt)} exceeds CFL limit {dt_limit} "
             f"(cfl_factor={cfg.cfl_factor}, dx={g.dx}, max group speed={speed})"
         )
 
-    n_total = int(round((cfg.t_end - cfg.t_start) / cfg.dt))
+    snapshots = set(cfg.snapshot_steps())
+    n_total = max(snapshots)
     kernel = _Kernel(g, cfg.params)
     bottom = _bottom_at(cfg.bathymetry, g, cfg.params)
 
@@ -294,7 +311,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
     for n in range(1, n_total + 1):
         # times from the step index avoid accumulated roundoff in t
         y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, bottom)
-        if n % cfg.snapshot_every == 0 or n == n_total:
+        if n in snapshots:
             s = _state(g, y, cfg.t_start + n * cfg.dt)
             if not (np.all(np.isfinite(s.eta)) and np.all(np.isfinite(s.u))):
                 raise NonFinite(f"non-finite field values at t={s.t}")

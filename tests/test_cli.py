@@ -12,7 +12,7 @@ import pytest
 
 import abcdsim
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
-from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _write_csv, main
+from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _read_csv_columns, _write_csv, main
 from abcdsim.config import build_region_axes, build_sim_config, fmt_float, fmt_value, parse_config
 from abcdsim.diagnostics import DiagnosticsEngine
 from abcdsim.solver import run
@@ -129,6 +129,33 @@ def _write_cfg(tmp_path, text, name="exp.ini", **fmt):
     return str(path)
 
 
+# IDENTITY_TEXT scheduled from t = 0 to 12: the window is undefined before t = 11
+SCHEDULED_FROM_ZERO_TEXT = (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 12.0")
+                            .replace("dt = 0.001", "dt = 0.05")
+                            .replace("weight_mode = fixed", "weight_mode = schedule"))
+
+# summary.json residual_maxima key -> the diagnostics.csv column it is the maximum of
+RESIDUAL_KEYS = {"decomposition": "decomposition_residual", "change_of_variables": "change_var_residual",
+                 "canonical_l2": "canon_l2_residual", "canonical_nonlocal": "canon_nonlocal_residual",
+                 **{name.removesuffix("_residual") + "_rate": name
+                    for name in DiagnosticsEngine.RESIDUAL_COLUMNS}}
+
+
+def check_residual_maxima_against_csv(out) -> dict:
+    """Each residual maximum in out/summary.json is the largest value of its
+    diagnostics.csv column, and an FD rate key is there exactly when its
+    residual column holds a value; returns the summary."""
+    summary = json.loads((out / "summary.json").read_text())
+    cols = _read_csv_columns(str(out / "diagnostics.csv"))
+    maxima = summary["residual_maxima"]
+    rates = {key for key, name in RESIDUAL_KEYS.items()
+             if key.endswith("_rate") and not np.isnan(cols[name]).all()}
+    assert set(maxima) == {key for key in RESIDUAL_KEYS if not key.endswith("_rate")} | rates
+    for key, value in maxima.items():
+        assert value == _nanmax(cols[RESIDUAL_KEYS[key]]), key
+    return summary
+
+
 class TestIdentitySuite:
     def test_passes_and_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -150,11 +177,8 @@ class TestIdentitySuite:
     def test_check_that_did_not_run_fails_the_suite(self, tmp_path, capsys):
         # the scheduled window is undefined before t = 11, so the I, J and
         # local-energy series start with NaN and their FD checks cannot run
-        text = (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 12.0")
-                .replace("dt = 0.001", "dt = 0.05")
-                .replace("weight_mode = fixed", "weight_mode = schedule"))
         out = tmp_path / "sched"
-        cfg = _write_cfg(tmp_path, text, out=out)
+        cfg = _write_cfg(tmp_path, SCHEDULED_FROM_ZERO_TEXT, out=out)
         assert main(["run", cfg]) == 3
         stdout = capsys.readouterr().out
         assert "no finite value for virial_i_rate, virial_j_rate, local_energy_rate -> FAIL" in stdout
@@ -196,6 +220,23 @@ class TestIdentitySuite:
         assert summary["residual_maxima"]["decomposition"] is None
         assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
         assert summary["flags"] == {"residuals_ok": False}
+
+    @pytest.mark.parametrize("text, code, rates", [
+        (IDENTITY_TEXT, 0, {"hamiltonian_rate", "virial_i_rate", "virial_j_rate", "local_energy_rate"}),
+        (SCHEDULED_FROM_ZERO_TEXT, 3, {"hamiltonian_rate"}),
+        # snapshots at steps 0, 2, 4, 6 and 7: the short last interval is dropped,
+        # four are left, too few for the five-point stencil
+        (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 0.007"), 3, set()),
+    ], ids=["fixed", "scheduled-from-t0", "seven-steps"])
+    def test_residual_maxima_are_the_maxima_of_the_csv_columns(self, tmp_path, capsys, text, code, rates):
+        out = tmp_path / "run"
+        assert main(["run", _write_cfg(tmp_path, text, out=out)]) == code
+        stdout = capsys.readouterr().out
+        summary = check_residual_maxima_against_csv(out)
+        assert {key for key in summary["residual_maxima"] if key.endswith("_rate")} == rates
+        if not rates:
+            assert ("no finite value for hamiltonian_rate, virial_i_rate, virial_j_rate, "
+                    "local_energy_rate -> FAIL") in stdout
 
     @pytest.mark.parametrize("values, expected", [
         ([math.nan, 2e-9, math.nan, 1e-9], 2e-9),
@@ -466,15 +507,28 @@ class TestErrorPaths:
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        _region_text(a_max=-1.5),
-        IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 0.0605"),
-    ], ids=["reversed-region", "partial-step"])
-    def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, key", [
+        (_region_text(a_max=-1.5), "a_max"),
+        (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 0.0605"), "t_end"),
+        (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = inf"), "t_end"),
+        (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = nan"), "t_end"),
+        (IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = nan\n\n[diagnostics]"), "blowup_factor"),
+        (IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = inf\n\n[diagnostics]"), "blowup_factor"),
+        (IDENTITY_TEXT.replace("fixed_lambda = 10.0", "fixed_lambda = 0"), "fixed_lambda"),
+        (IDENTITY_TEXT.replace("fixed_lambda = 10.0", "fixed_lambda = -10"), "fixed_lambda"),
+        (IDENTITY_TEXT.replace("fixed_lambda = 10.0", "fixed_lambda = inf"), "fixed_lambda"),
+        (IDENTITY_TEXT.replace("residual_threshold = 1e-6", "residual_threshold = nan"), "residual_threshold"),
+        (IDENTITY_TEXT.replace("residual_threshold = 1e-6", "residual_threshold = -1"), "residual_threshold"),
+        (IDENTITY_TEXT.replace("alpha = 0.5", "alpha = nan"), "alpha"),
+    ], ids=["reversed-region", "partial-step", "inf-t_end", "nan-t_end", "nan-blowup", "inf-blowup",
+            "zero-lambda", "negative-lambda", "inf-lambda", "nan-threshold", "negative-threshold",
+            "nan-alpha"])
+    def test_config_error_leaves_no_output_dir(self, tmp_path, capsys, text, key):
         out = tmp_path / "never"
         cfg = _write_cfg(tmp_path, text, out=out)
         assert main(["run", cfg]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
         assert not out.exists()
 
     def test_blowup_aborts_with_exit_2(self, tmp_path, capsys):

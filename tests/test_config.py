@@ -275,6 +275,11 @@ class TestParseErrors:
             "with_alpha = maybe\n",
             "with_alpha",
         )
+        run_head = full_head + "[time]\ndt = 0.01\nt_end = 1\n[diagnostics]\n"
+        for key, value in (("fixed_lambda", "0"), ("fixed_lambda", "-10"), ("fixed_lambda", "inf"),
+                           ("residual_threshold", "nan"), ("residual_threshold", "-1"),
+                           ("residual_threshold", "inf"), ("alpha", "nan")):
+            self._expect(run_head + f"{key} = {value}\n", rf'"{key}" in \[diagnostics\]')
 
     def test_bad_physical_parameters_are_config_errors(self):
         text = (

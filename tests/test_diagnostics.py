@@ -225,6 +225,25 @@ class TestVirialDecomposition:
                 assert scale > 0.0
                 assert abs(dec["Q"] - qf) / scale < 1e-10
 
+    def test_quadratic_form_scale_is_the_sum_of_absolute_pieces(self, grid40):
+        # |coefficient| times each phi' weighted square of the canonical fields,
+        # then each |phi'''| weighted one, integrated one by one
+        from abcdsim.diagnostics import _Snap, _zero_samples
+
+        w = weight_set(grid40, 10.0)
+        main = (("A1", "cf"), ("A2", "cf1"), ("A3", "cf2"), ("A4", "cf3"),
+                ("B1", "cg"), ("B2", "cg1"), ("B3", "cg2"), ("B4", "cg3"))
+        corr = (("D11", "cf"), ("D12", "cf1"), ("D21", "cg"), ("D22", "cg1"))
+        for a, c, alpha in self.TRIPLES:
+            qc = quadratic_coeffs(a, c, alpha)
+            s = _state(grid40, seed=5, eps=0.05)
+            sp = _Snap(s, _zero_samples(grid40), None)
+            pieces = [abs(getattr(qc, k)) * grid40.integrate(w.dphi * getattr(sp, f) * getattr(sp, f))
+                      for k, f in main]
+            pieces += [abs(getattr(qc, k)) * grid40.integrate(np.abs(w.d3phi) * getattr(sp, f) ** 2)
+                       for k, f in corr]
+            assert quadratic_form_scale(s, qc, w) == sum(abs(x) for x in pieces)
+
     def test_quadratic_form_positive_at_corner(self, grid40):
         # all eight leading coefficients are positive at (-1, -1, 0); the
         # third-derivative correction is O(lam^-2) relative and cannot

@@ -11,6 +11,7 @@ import pathlib
 import pytest
 
 from abcdsim.cli import main as cli_main
+from test_cli import check_residual_maxima_against_csv
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,6 +34,7 @@ def test_identity_suite_config_passes(monkeypatch, tmp_path):
     # localized data keeps the box seam out of the windowed checks; the
     # residuals should sit near round-off, far under the 1e-6 threshold
     assert max(s["residual_maxima"].values()) < 1e-12
+    check_residual_maxima_against_csv(tmp_path / "out/identity_suite")
 
 
 def test_decay_run_config_passes(monkeypatch, tmp_path):

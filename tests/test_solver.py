@@ -281,6 +281,16 @@ class TestRunPlumbing:
         with pytest.raises(CflViolation):
             run(cfg)
 
+    @pytest.mark.parametrize("a, c", [(0.5, -1.0), (-1.0, 0.5)])
+    def test_cfl_guard_fails_closed_without_a_real_group_speed(self, grid, a, c):
+        # 1 - a k^2 < 0 on part of the band: omega(k) is not real there, the
+        # group speed is NaN, and a NaN limit must stop the run, not pass any dt
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        cfg = SimConfig(params=AbcdParams(a=a, c=c), bathymetry=flat_bottom(), grid=grid,
+                        eta0=eta0, u0=u0, dt=1e-3, t_end=0.05)
+        with pytest.raises(CflViolation, match="no finite CFL limit .* not real"):
+            run(cfg)
+
     def test_blowup_guard_trips_on_norm_growth(self, grid):
         # a conserved run trips immediately once the allowed growth
         # factor is below 1
@@ -310,6 +320,8 @@ class TestRunPlumbing:
     @pytest.mark.parametrize("kw", [
         dict(dt=0.0), dict(dt=np.nan), dict(cfl_factor=0.0), dict(cfl_factor=1.5),
         dict(snapshot_every=0), dict(dt=0.4, t_end=1.0),
+        dict(t_end=np.inf), dict(t_end=np.nan), dict(t_start=np.nan),
+        dict(blowup_factor=np.nan), dict(blowup_factor=np.inf), dict(blowup_factor=0.0),
     ])
     def test_config_validation(self, grid, kw):
         p = AbcdParams(a=-1.0, c=-1.0)
