@@ -187,7 +187,7 @@ def _execute(cfg: ExperimentConfig, outdir: str):
     first = True
 
     def observer(state: State):
-        # a flag, not engine.records: reading those would evaluate the pending block
+        # a flag, not an engine read: that would evaluate the pending block
         nonlocal first
         if first:
             _write_state_csv(os.path.join(outdir, "initial_state.csv"), state)
@@ -196,11 +196,10 @@ def _execute(cfg: ExperimentConfig, outdir: str):
 
     result = run(sim, observer=observer)
     _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)
-    header, rows = engine.table()
-    columns = np.array(rows, dtype=float).T
-    _write_csv(os.path.join(outdir, "diagnostics.csv"), header, columns)
+    columns = engine.table()
+    _write_csv(os.path.join(outdir, "diagnostics.csv"), list(columns), list(columns.values()))
     _write_text(os.path.join(outdir, "plot_diagnostics.py"), PLOT_SCRIPT)
-    return dict(zip(header, columns)), result
+    return columns, result
 
 
 def _base_summary(cfg: ExperimentConfig, cols: dict, result) -> dict:
@@ -395,15 +394,19 @@ def _make_report(run_dir: str) -> int:
     summary_path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(diag_path) or not os.path.exists(summary_path):
         raise ConfigError(f"run directory {run_dir!r} is missing diagnostics.csv or summary.json")
-    cols = _read_csv_columns(diag_path)
     with open(summary_path, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
+    kind = summary.get("kind")
+    if kind != "decay-run":  # the decay gate means nothing for another kind
+        raise ConfigError(f'run directory {run_dir!r} holds a run of kind "{kind}"; '
+                          'report takes a decay-run only')
+    cols = _read_csv_columns(diag_path)
 
     windowed, running = cols["windowed_h1"], cols["running_decay_integral"]
     finite = np.isfinite(windowed)
     envelope = np.maximum.accumulate(windowed[finite]) if finite.any() else np.array([])
     report = {
-        "run_dir_kind": summary.get("kind"),
+        "run_dir_kind": kind,
         "n_snapshots": int(cols["t"].size),
         "sup_ratio": _sup_ratio(cols["h1_norm"]),
         "windowed_final": float(windowed[finite][-1]) if finite.any() else None,

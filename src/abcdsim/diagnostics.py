@@ -53,7 +53,6 @@ __all__ = [
     "DecaySeries",
     "decay_metrics",
     "fd5_derivative",
-    "DiagnosticsRecord",
     "DiagnosticsEngine",
 ]
 
@@ -122,8 +121,7 @@ class _Snap:
             spectra = np.stack([b.spectra for b in samples], axis=1)
             h_hat, (T_q, T_w1) = _bottom_forcing(g, p, spectra)
             y = np.concatenate((y, h_hat[None]))
-        fine = g._to_fine(y)
-        prods = g._from_fine(fine * fine[0])  # u^2, u eta [, u h]
+        prods = g._dealiased_products(y)  # u^2, u eta [, u h]
         split = 12 + 2 * len(prods)  # the rows of u, eta and the products come first
         names = cls._UV + cls._PRODUCTS[: split - 12] + (() if zero else cls._BOTTOM)
         shape = (len(names),) + y.shape[1:]
@@ -583,50 +581,11 @@ def fd5_derivative(series, dt: float) -> np.ndarray:
     return d
 
 
-# -- per-snapshot record and the engine ----------------------------------
-
-@dataclass
-class DiagnosticsRecord:
-    """One row of diagnostics.  Window-scale fields are NaN while the
-    scheduled window is undefined (t < T_MIN in schedule mode)."""
-
-    t: float
-    h1_norm: float
-    hamiltonian: float
-    hamiltonian_rate: float
-    momentum: float
-    virial_i: float = math.nan
-    virial_j: float = math.nan
-    virial_mix: float = math.nan
-    virial_i_rate: float = math.nan
-    virial_j_rate: float = math.nan
-    moving_i: float = math.nan
-    moving_j: float = math.nan
-    q_part: float = math.nan
-    sq_part: float = math.nan
-    nq_part: float = math.nan
-    nh_part: float = math.nan
-    decomposition_residual: float = math.nan
-    q_canonical: float = math.nan
-    change_var_residual: float = math.nan
-    canon_l2_residual: float = math.nan
-    canon_nonlocal_residual: float = math.nan
-    local_energy: float = math.nan
-    local_energy_rate: float = math.nan
-    windowed_h1: float = math.nan
-    interval_h1: float = math.nan
-    running_decay_integral: float = math.nan
-
-    @classmethod
-    def field_names(cls) -> list:
-        return [f.name for f in dataclass_fields(cls)]
-
-    def row(self) -> list:
-        return [getattr(self, name) for name in self.field_names()]
-
+# -- the engine ----------------------------------------------------------
 
 class DiagnosticsEngine:
-    """Snapshot observer computing the full record set.
+    """Snapshot observer that keeps the diagnostics table, one column per
+    name in COLUMNS.
 
     weight_mode is "schedule" (window scale lambda(t), moving) or
     "fixed" with fixed_lambda (static weight).  The engine accumulates
@@ -634,12 +593,26 @@ class DiagnosticsEngine:
 
     It evaluates blocks of B = max(1, 2048 // N) snapshots (see `_Snap`):
     one ladder, one table of integrals and one pass of each rate law on
-    arrays of B values per block.  As `run`'s observer (`__call__`) it
-    buffers a block until it is full or the grid or the presence of
-    weights (t = T_MIN, schedule mode) changes.  `observe` (a block of one)
-    and `records`, `series`, `table` and `rate_residuals` evaluate the
-    pending snapshots first.
+    arrays of B values per block, which it appends to its columns.  As
+    `run`'s observer (`__call__`) it buffers a block until it is full or
+    the grid or the presence of weights (t = T_MIN, schedule mode)
+    changes.  `observe` (a block of one) and `series`, `table` and
+    `rate_residuals` evaluate the pending snapshots first.
     """
+
+    # the columns of diagnostics.csv a block computes; the window-scale columns
+    # are NaN while the scheduled window is undefined (t < T_MIN in schedule mode)
+    COLUMNS = (
+        "t", "h1_norm", "hamiltonian", "hamiltonian_rate", "momentum",
+        "virial_i", "virial_j", "virial_mix", "virial_i_rate", "virial_j_rate",
+        "moving_i", "moving_j", "q_part", "sq_part", "nq_part", "nh_part",
+        "decomposition_residual", "q_canonical", "change_var_residual",
+        "canon_l2_residual", "canon_nonlocal_residual", "local_energy", "local_energy_rate",
+        "windowed_h1", "interval_h1", "running_decay_integral",
+    )
+    # functionals whose analytic rate is checked against the FD derivative
+    _FD_CHECKED = ("hamiltonian", "virial_i", "virial_j", "local_energy")
+    RESIDUAL_COLUMNS = tuple(name + "_residual" for name in _FD_CHECKED)
 
     def __init__(self, params: AbcdParams, bathymetry: Bathymetry, alpha: float = 0.0,
                  weight_mode: str = "schedule", fixed_lambda: float | None = None):
@@ -653,17 +626,12 @@ class DiagnosticsEngine:
         self.weight_mode = weight_mode
         self.fixed_lambda = fixed_lambda
         self.qc = quadratic_coeffs(params.a, params.c, alpha)
-        self._records: list[DiagnosticsRecord] = []
+        self._columns: dict[str, list] = {name: [] for name in self.COLUMNS}  # one array per block
         self._pending: list[State] = []
         self._decay = _RunningTrapezoid()
         self._fixed_weights: dict[tuple, dict] = {}  # rows of the static window per grid (L, N)
         self._plans: dict[bool, tuple] = {}  # integrals of the last block with/without weights
         self._buffers: dict = {}  # the ladder arrays, reused: new ones fault their pages in anew
-
-    @property
-    def records(self) -> list:
-        self._flush()
-        return self._records
 
     def _weights(self, grid: Grid, ts: list):
         if self.weight_mode == "fixed":
@@ -683,18 +651,20 @@ class DiagnosticsEngine:
         if len(self._pending) >= max(1, _BLOCK_POINTS // state.grid.N):
             self._flush()
 
-    def observe(self, state: State) -> DiagnosticsRecord:
+    def observe(self, state: State) -> dict:
+        """Evaluate state after the pending snapshots; its row, name -> float."""
         self._flush()
-        return self._observe_block([state])[0]
+        self._observe_block([state])
+        return {name: float(blocks[-1][0]) for name, blocks in self._columns.items()}
 
     def _flush(self) -> None:
         states, self._pending = self._pending, []
         if states:
             self._observe_block(states)
 
-    def _observe_block(self, states: list) -> list:
-        """Append and return the records of a block (see the class docstring)."""
-        p, alpha, g, n = self.params, self.alpha, states[0].grid, len(states)
+    def _observe_block(self, states: list) -> None:
+        """Append a block's values to the columns (see the class docstring)."""
+        p, alpha, g = self.params, self.alpha, states[0].grid
         bs = [self.bathymetry.sample(g, s.t) for s in states]
         w = self._weights(g, [s.t for s in states])
         sp = _Snap(states, bs, p, rows=w, buffers=self._buffers)
@@ -724,49 +694,38 @@ class DiagnosticsEngine:
             col["canon_l2_residual"], col["canon_nonlocal_residual"] = canon
             col.update(zip(("windowed_h1", "interval_h1", "running_decay_integral", "virial_mix"),
                            _decay_columns(states, sp, alpha, self._decay)))
-
-        def each(v) -> list:  # n Python floats, one per snapshot
-            return v.tolist() if isinstance(v, np.ndarray) and v.ndim else [float(v)] * n
-        records = [DiagnosticsRecord(**dict(zip(col, row))) for row in zip(*map(each, col.values()))]
-        self._records.extend(records)
+        for name, blocks in self._columns.items():  # a value the block shares, or NaN, is repeated
+            blocks.append(np.full(len(states), col.get(name, math.nan), dtype=float))
         self._plans[w is None] = tuple(sp._integrals)
-        return records
 
     def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        """A fresh array of the named column, one value per snapshot."""
+        self._flush()
+        return np.concatenate(self._columns[name] or [np.empty(0)])
 
-    # functionals whose analytic rate is checked against the FD derivative
-    _FD_CHECKED = ("hamiltonian", "virial_i", "virial_j", "local_energy")
-    RESIDUAL_COLUMNS = tuple(name + "_residual" for name in _FD_CHECKED)
+    def table(self) -> dict:
+        """The columns of diagnostics.csv, name -> one value per snapshot.
 
-    def table(self) -> tuple:
-        """(column names, rows) for the diagnostics CSV.
-
-        Columns are the record fields in declaration order followed by
-        the four FD rate residuals (relative to max(1, |rate|); NaN at
-        stencil edges or when the cadence does not support FD).
+        COLUMNS, then the four FD rate residuals of `rate_residuals`
+        (relative to max(1, |rate|)); those are all NaN when the cadence
+        does not support FD.
         """
-        names = DiagnosticsRecord.field_names() + list(self.RESIDUAL_COLUMNS)
-        extra = {k: np.full(len(self.records), np.nan) for k in self.RESIDUAL_COLUMNS}
+        cols = {name: self.series(name) for name in self.COLUMNS}
         try:
             rr = self.rate_residuals()
         except ValueError:
             rr = {}
-        for fname, (_, rel) in rr.items():
-            # trimmed arrays start at snapshot index 2, keep rows aligned
-            col = extra[fname + "_residual"]
-            col[2 : 2 + rel.size] = rel
-        rows = []
-        for i, rec in enumerate(self.records):
-            rows.append(rec.row() + [float(extra[k][i]) for k in self.RESIDUAL_COLUMNS])
-        return names, rows
+        for fname, name in zip(self._FD_CHECKED, self.RESIDUAL_COLUMNS):
+            cols[name] = rr[fname][1] if fname in rr else np.full(cols["t"].size, np.nan)
+        return cols
 
     def rate_residuals(self) -> dict:
         """Five-point FD of each tracked functional against its analytic
-        rate, as (residual array, relative-to-scale array) pairs.
+        rate, as (residual, relative-to-scale) arrays with one value per
+        snapshot, NaN where the stencil does not reach.
 
-        Needs a uniform snapshot cadence; the trailing snapshot is
-        dropped if it breaks uniformity.
+        Needs a uniform snapshot cadence; a trailing snapshot that breaks
+        it is off the cadence, so the stencil does not reach it either.
         """
         t = self.series("t")
         if t.size < 5:
@@ -780,12 +739,10 @@ class DiagnosticsEngine:
             n -= 1  # trailing partial interval
         out = {}
         for fname in self._FD_CHECKED:
-            f = self.series(fname)[:n]
-            r = self.series(fname + "_rate")[:n]
-            if np.isnan(f).any():
+            f, r = self.series(fname), self.series(fname + "_rate")
+            if np.isnan(f[:n]).any():
                 continue
-            fd = fd5_derivative(f, dt)[2:-2]
-            res = np.abs(fd - r[2:-2])
-            rel = res / np.maximum(1.0, np.abs(r[2:-2]))
-            out[fname] = (res, rel)
+            f[n:] = np.nan
+            res = np.abs(fd5_derivative(f, dt) - r)
+            out[fname] = res, res / np.maximum(1.0, np.abs(r))
         return out

@@ -116,5 +116,12 @@ class Grid:
         wh[..., -1] = 0.0
         return wh
 
+    def _dealiased_products(self, coeffs):
+        """Coarse rfft coeffs of the product of the field of row 0 with the
+        field of every row of the stacked coeffs: one stacked transform to
+        the fine grid and one back."""
+        fine = self._to_fine(coeffs)
+        return self._from_fine(fine * fine[0])
+
     def __repr__(self):
         return f"Grid(L={self.L!r}, N={self.N})"

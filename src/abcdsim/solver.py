@@ -165,9 +165,8 @@ class _Kernel:
         self.quad = np.stack((-0.5 * ik_hel, -ik_hel))
 
     def __call__(self, y, h_hat, force):
-        g = self.grid
-        fine = g._to_fine(y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
-        k = self.lin * y[::-1] + self.quad * g._from_fine(fine * fine[0])
+        prods = self.grid._dealiased_products(y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
+        k = self.lin * y[::-1] + self.quad * prods
         if force is not None:
             k += force
         return k
@@ -300,14 +299,9 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
     norm0 = float(_h1_norm(g, y))
 
     result = RunResult(final_state=s)
-
-    def emit(state):
-        if observer is not None:
-            observer(state)
-        else:
-            result.snapshots.append(state.copy())
-
-    emit(s)
+    if observer is None:  # each snapshot State is fresh and read-only: keep it as it is
+        observer = result.snapshots.append
+    observer(s)
     for n in range(1, n_total + 1):
         # times from the step index avoid accumulated roundoff in t
         y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, bottom)
@@ -321,7 +315,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
                     raise BlowUp(
                         f"H1 norm {norm} exceeded {cfg.blowup_factor} x initial {norm0} at t={s.t}"
                     )
-            emit(s)
+            observer(s)
     result.final_state = s
     result.n_steps = n_total
     return result

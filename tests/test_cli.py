@@ -170,8 +170,9 @@ class TestIdentitySuite:
         assert summary["n_snapshots"] == 31
         worst = max(v for v in summary["residual_maxima"].values() if v is not None)
         assert worst < 1e-6
-        # diagnostics.csv parses and has one row per snapshot
+        # diagnostics.csv parses, has the engine's columns and one row per snapshot
         lines = (out / "diagnostics.csv").read_text().strip().split("\n")
+        assert lines[0].split(",") == list(DiagnosticsEngine.COLUMNS + DiagnosticsEngine.RESIDUAL_COLUMNS)
         assert len(lines) == 1 + summary["n_snapshots"]
 
     def test_check_that_did_not_run_fails_the_suite(self, tmp_path, capsys):
@@ -202,17 +203,15 @@ class TestIdentitySuite:
     def test_an_infinite_residual_fails_the_suite(self, tmp_path, monkeypatch, capsys):
         # NaN marks a value that is not defined (stencil edges, t < T_MIN) and is
         # skipped; an inf is a residual that blew up and must not be dropped.
-        # The CLI's engine evaluates its snapshots in blocks, so the third
-        # record is spoiled once the block that holds it is evaluated.
-        observe_block = DiagnosticsEngine._observe_block
+        # The third row of the table the CLI writes and reads is spoiled.
+        table = DiagnosticsEngine.table
 
-        def observe_then_spoil(engine, states):
-            records = observe_block(engine, states)
-            if len(engine.records) >= 3:
-                engine.records[2].decomposition_residual = math.inf
-            return records
+        def table_then_spoil(engine):
+            cols = table(engine)
+            cols["decomposition_residual"][2] = math.inf
+            return cols
 
-        monkeypatch.setattr(DiagnosticsEngine, "_observe_block", observe_then_spoil)
+        monkeypatch.setattr(DiagnosticsEngine, "table", table_then_spoil)
         out = tmp_path / "run"
         assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 3
         assert "no finite value for decomposition -> FAIL" in capsys.readouterr().out
@@ -304,7 +303,9 @@ class TestCsvWriter:
         assert (out / "initial_state.csv").read_bytes() == initial[0]
         assert (out / "final_state.csv").read_bytes() == _fmt_float_csv(
             ["x", "eta", "u"], zip(final.grid.x, final.eta, final.u))
-        assert (out / "diagnostics.csv").read_bytes() == _fmt_float_csv(*engine.table())
+        cols = engine.table()
+        assert (out / "diagnostics.csv").read_bytes() == _fmt_float_csv(
+            list(cols), zip(*(c.tolist() for c in cols.values())))
 
 
 class TestDecayRun:
@@ -506,6 +507,15 @@ class TestErrorPaths:
     def test_report_on_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_report_refuses_a_run_that_is_not_a_decay_run(self, tmp_path, capsys):
+        out = tmp_path / "suite"
+        assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and '"identity-suite"' in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("text, key", [
         (_region_text(a_max=-1.5), "a_max"),

@@ -1,7 +1,5 @@
 """Conserved functionals, rate laws, and the regrouped virial identities."""
 
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,7 +23,6 @@ from abcdsim import (
 )
 from abcdsim.bathymetry import Bathymetry
 from abcdsim.diagnostics import (
-    DiagnosticsRecord,
     canonical_identity_residuals,
     decay_metrics,
     fd5_derivative,
@@ -388,11 +385,12 @@ class TestEngine:
 
     def test_window_fields_nan_before_schedule_start(self, grid40):
         eng = DiagnosticsEngine(CORNER, flat_bottom(), weight_mode="schedule")
-        rec = eng.observe(State(grid40, *gaussian_pair(grid40), 5.0))
-        assert np.isfinite(rec.hamiltonian)
-        assert np.isfinite(rec.momentum)
-        assert np.isnan(rec.virial_i)
-        assert np.isnan(rec.local_energy)
+        row = eng.observe(State(grid40, *gaussian_pair(grid40), 5.0))
+        assert list(row) == list(DiagnosticsEngine.COLUMNS)
+        assert np.isfinite(row["hamiltonian"])
+        assert np.isfinite(row["momentum"])
+        assert np.isnan(row["virial_i"])
+        assert np.isnan(row["local_energy"])
 
     def test_running_integral_accumulates(self):
         eng = _short_run("fixed", fixed_lambda=10.0)
@@ -402,11 +400,10 @@ class TestEngine:
 
     def test_table_shape_and_residual_alignment(self):
         eng = _short_run("fixed", fixed_lambda=10.0)
-        names, rows = eng.table()
-        assert names == DiagnosticsRecord.field_names() + list(eng.RESIDUAL_COLUMNS)
-        assert len(rows) == len(eng.records)
-        assert all(len(r) == len(names) for r in rows)
-        ham_res = [r[names.index("hamiltonian_residual")] for r in rows]
+        cols = eng.table()
+        assert list(cols) == list(DiagnosticsEngine.COLUMNS + DiagnosticsEngine.RESIDUAL_COLUMNS)
+        assert all(c.shape == (len(eng.series("t")),) for c in cols.values())
+        ham_res = cols["hamiltonian_residual"]
         # stencil edges are NaN, the interior is filled
         assert np.isnan(ham_res[0]) and np.isnan(ham_res[1])
         assert np.isnan(ham_res[-1]) and np.isnan(ham_res[-2])
@@ -427,6 +424,23 @@ class TestEngine:
             eng.observe(State(grid40, eta, u, t))
         with pytest.raises(ValueError):
             eng.rate_residuals()
+
+    def test_residuals_run_one_per_snapshot_with_a_short_last_interval(self):
+        # snapshots at steps 0, 5, ..., 80 and 83: the last one is off the
+        # cadence, so the stencil reaches rows 2 to n - 4 only
+        eng = _short_run("fixed", fixed_lambda=10.0, n_steps=83)
+        n = eng.series("t").size
+        assert n == 18
+        rr, cols = eng.rate_residuals(), eng.table()
+        assert set(rr) == {"hamiltonian", "virial_i", "virial_j", "local_energy"}
+        edges = [0, 1, n - 3, n - 2, n - 1]
+        columns = [a for pair in rr.values() for a in pair] + [cols[k] for k in eng.RESIDUAL_COLUMNS]
+        for column in columns:
+            assert column.shape == (n,)
+            assert np.all(np.isnan(column[edges]))
+            assert np.all(np.isfinite(column[2:n - 3]))
+        for fname, (_, rel) in rr.items():
+            assert np.array_equal(rel, cols[fname + "_residual"], equal_nan=True)
 
 
 class TestObserveCost:
@@ -515,11 +529,11 @@ class TestObserveCost:
             assert calls["sample"] == 4
             rows = [r for f in forward for r in f]
             assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for s in block for r in rows)
-        assert len(eng.records) == 8
+        assert eng.series("t").size == 8
 
 
 class TestBlocks:
-    """Records from `run(cfg, observer=eng)`, which evaluates snapshots in
+    """Columns from `run(cfg, observer=eng)`, which evaluates snapshots in
     blocks, equal field by field those of one `observe` per snapshot."""
 
     P = AbcdParams(a=-1.0, c=-1.0, a1=0.3, c1=0.56)
@@ -539,11 +553,9 @@ class TestBlocks:
 
     @staticmethod
     def _same(got, want):
-        assert len(got.records) == len(want.records)
-        for a, b in zip(got.records, want.records):
-            for name in DiagnosticsRecord.field_names():
-                x, y = getattr(a, name), getattr(b, name)
-                assert x == y or (math.isnan(x) and math.isnan(y)), (a.t, name)
+        assert got.series("t").size == want.series("t").size
+        for name in DiagnosticsEngine.COLUMNS:
+            assert np.array_equal(got.series(name), want.series(name), equal_nan=True), name
 
     def test_flat_with_fixed_window(self):
         # N = 256: blocks of 8, and 21 snapshots leave a partial block
@@ -555,7 +567,7 @@ class TestBlocks:
     def test_decaying_bump_with_scheduled_window(self):
         buffered, eager, states = self._engines(decaying_bump(1e-2, width=2.0, t0=11.0),
                                                 dict(weight_mode="schedule"), 11.0, 100)
-        assert eager.records[0].moving_i != 0.0 and eager.records[0].nh_part != 0.0
+        assert eager.series("moving_i")[0] != 0.0 and eager.series("nh_part")[0] != 0.0
         self._same(buffered, eager)
 
     def test_a_schedule_run_that_crosses_t_min(self):
@@ -564,7 +576,8 @@ class TestBlocks:
                                                 dict(weight_mode="schedule"), 10.97, 75)
         early = [s.t < 11.0 for s in states]
         assert any(early) and not all(early)
-        assert np.isnan(eager.records[0].virial_i) and np.isfinite(eager.records[-1].virial_i)
+        virial_i = eager.series("virial_i")
+        assert np.isnan(virial_i[0]) and np.isfinite(virial_i[-1])
         self._same(buffered, eager)
 
     def test_blocks_of_four_at_n512(self):
@@ -579,13 +592,13 @@ class TestBlocks:
         eng = DiagnosticsEngine(self.P, flat_bottom(), alpha=0.5, weight_mode="fixed", fixed_lambda=10.0)
         for s in states[:10]:
             eng(s)
-        assert len(eng.records) == 10  # a read evaluates the pending snapshots
+        assert eng.series("t").size == 10  # a read evaluates the pending snapshots
         for s in states[10:13]:
             eng(s)
-        assert eng.observe(states[13]).t == states[13].t  # after the three pending ones
+        assert eng.observe(states[13])["t"] == states[13].t  # after the three pending ones
         for s in states[14:]:
             eng(s)
-        assert [r.t for r in eng.records] == [s.t for s in states]
+        assert eng.series("t").tolist() == [s.t for s in states]
         self._same(eng, eager)
 
 
@@ -646,13 +659,14 @@ class TestEngineMatchesPublicFunctions:
         }
 
     def _check(self, eng, states, weights_at):
-        assert len(eng.records) == len(states)
-        for rec, s in zip(eng.records, states):
+        cols = eng.table()
+        assert cols["t"].size == len(states)
+        for i, s in enumerate(states):
             want = self._expected(s, eng.bathymetry, weights_at(s))
-            got = {name: getattr(rec, name) for name in want}
+            got = {name: float(cols[name][i]) for name in want}
             assert got == want, s.t
         # only the running decay integral is left, checked by the callers
-        assert set(DiagnosticsRecord.field_names()) - set(want) == {"running_decay_integral"}
+        assert set(DiagnosticsEngine.COLUMNS) - set(want) == {"running_decay_integral"}
 
     def test_bump_with_scheduled_window(self):
         b = decaying_bump(1e-2, width=2.0, t0=11.0)
@@ -661,8 +675,8 @@ class TestEngineMatchesPublicFunctions:
         for s in states:
             eng.observe(s)
         self._check(eng, states, lambda s: scheduled_weights(s.grid, s.t))
-        assert eng.records[0].moving_i != 0.0  # the window does move
-        assert eng.records[0].nh_part != 0.0   # and the bottom does force
+        assert eng.series("moving_i")[0] != 0.0  # the window does move
+        assert eng.series("nh_part")[0] != 0.0   # and the bottom does force
         running = decay_metrics(states).running_integral
         assert list(running) == list(eng.series("running_decay_integral"))
 
@@ -673,7 +687,7 @@ class TestEngineMatchesPublicFunctions:
         for s in states:
             eng.observe(s)
         self._check(eng, states, lambda s: weight_set(s.grid, 10.0))
-        assert all(r.moving_i == 0.0 and r.nh_part == 0.0 for r in eng.records)
+        assert np.all(eng.series("moving_i") == 0.0) and np.all(eng.series("nh_part") == 0.0)
         dens = eng.series("windowed_h1") / 10.0
         t = eng.series("t")
         running = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
