@@ -121,13 +121,14 @@ class _Snap:
             spectra = np.stack([b.spectra for b in samples], axis=1)
             h_hat, (T_q, T_w1) = _bottom_forcing(g, p, spectra)
             y = np.concatenate((y, h_hat[None]))
-        prods = g._dealiased_products(y)  # u^2, u eta [, u h]
-        split = 12 + 2 * len(prods)  # the rows of u, eta and the products come first
+        split = 12 + 2 * len(y)  # the rows of u, eta and the products come first
         names = cls._UV + cls._PRODUCTS[: split - 12] + (() if zero else cls._BOTTOM)
         shape = (len(names),) + y.shape[1:]
-        if shape not in buffers:  # the ladder's spectra and fields
-            buffers[shape] = np.empty(shape, complex), np.empty(shape[:-1] + (g.N,))
-        rows, fields = buffers[shape]
+        if shape not in buffers:  # the ladder's spectra and fields, and the products' work arrays
+            buffers[shape] = (np.empty(shape, complex), np.empty(shape[:-1] + (g.N,)),
+                              g._product_buffers(y.shape))
+        rows, fields, work = buffers[shape]
+        prods = g._dealiased_products(y, work)  # u^2, u eta [, u h]
         # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
         tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
         images = np.stack((helm, ik * helm))[:, None]
@@ -722,7 +723,8 @@ class DiagnosticsEngine:
     def rate_residuals(self) -> dict:
         """Five-point FD of each tracked functional against its analytic
         rate, as (residual, relative-to-scale) arrays with one value per
-        snapshot, NaN where the stencil does not reach.
+        snapshot, NaN where the stencil does not reach or touches a NaN
+        value (t < T_MIN in schedule mode), so the finite tail is checked.
 
         Needs a uniform snapshot cadence; a trailing snapshot that breaks
         it is off the cadence, so the stencil does not reach it either.
@@ -740,8 +742,6 @@ class DiagnosticsEngine:
         out = {}
         for fname in self._FD_CHECKED:
             f, r = self.series(fname), self.series(fname + "_rate")
-            if np.isnan(f[:n]).any():
-                continue
             f[n:] = np.nan
             res = np.abs(fd5_derivative(f, dt) - r)
             out[fname] = res, res / np.maximum(1.0, np.abs(r))

@@ -53,6 +53,10 @@ class Grid:
         # fine grid for zero-padded quadratic products
         m = (3 * N) // 2
         self.n_fine = m if m % 2 == 0 else m + 1
+        # the factors between coarse and fine transforms, as arrays of the dtype they
+        # scale: a Python float costs a dtype promotion per call
+        self._up = np.array(self.n_fine / N)
+        self._down = np.array(N / self.n_fine, dtype=complex)
 
     # -- binding ---------------------------------------------------------
 
@@ -101,27 +105,34 @@ class Grid:
 
     # -- dealiased products ---------------------------------------------
 
-    def _to_fine(self, coeffs):
-        """Fine-grid samples of the trig polynomials with the given rfft coeffs.
+    def _product_buffers(self, shape) -> tuple:
+        """The work arrays of `_dealiased_products` for stacked coeffs of the
+        given shape: the fine-grid fields, their first row and the others,
+        their wide spectrum and its coarse band."""
+        lead = tuple(shape[:-1])
+        fine = np.empty(lead + (self.n_fine,))
+        wide = np.empty(lead + (self.n_fine // 2 + 1,), complex)
+        return fine, fine[0], fine[1:], wide, wide[..., : self.N // 2 + 1]
 
-        Stacked input is transformed along the last axis in one call.
-        """
-        fh = np.zeros(coeffs.shape[:-1] + (self.n_fine // 2 + 1,), dtype=complex)
-        fh[..., : self.N // 2] = coeffs[..., : self.N // 2]  # Nyquist dropped
-        return np.fft.irfft(fh, n=self.n_fine) * (self.n_fine / self.N)
-
-    def _from_fine(self, fine_values):
-        """Coarse rfft coeffs of fine-grid fields (last axis), truncated alias-free."""
-        wh = np.fft.rfft(fine_values)[..., : self.N // 2 + 1] * (self.N / self.n_fine)
-        wh[..., -1] = 0.0
-        return wh
-
-    def _dealiased_products(self, coeffs):
+    def _dealiased_products(self, coeffs, buffers):
         """Coarse rfft coeffs of the product of the field of row 0 with the
         field of every row of the stacked coeffs: one stacked transform to
-        the fine grid and one back."""
-        fine = self._to_fine(coeffs)
-        return self._from_fine(fine * fine[0])
+        the fine grid and one back.
+
+        The work happens in the caller's `buffers` (see `_product_buffers`),
+        and the result is a view of them, valid until their next use.  The
+        inverse transform pads the coefficients with zeros to the fine grid;
+        the Nyquist mode is dropped on the way in and zeroed on the way out.
+        """
+        fine, head, tail, wide, prods = buffers
+        np.fft.irfft(coeffs[..., : self.N // 2], n=self.n_fine, out=fine)
+        np.multiply(fine, self._up, out=fine)
+        np.multiply(tail, head, out=tail)  # row 0 last: the others read it
+        np.multiply(head, head, out=head)
+        np.fft.rfft(fine, out=wide)
+        np.multiply(prods, self._down, out=prods)
+        prods[..., -1] = 0.0
+        return prods
 
     def __repr__(self):
         return f"Grid(L={self.L!r}, N={self.N})"

@@ -14,8 +14,11 @@ of h is ever taken.
 `run` carries the rfft coefficients of (u, eta) from step to step and
 builds a physical State only at snapshots; that State carries the
 coefficients too, so an observer needs no forward transform of u or
-eta.  `rhs` and `step_rk4` are physical-space adapters over the same
-kernel.
+eta.  The kernel steps in a workspace it allocates once per grid: the
+transforms write into it, the separable bottom enters as three scalars
+per stage time that scale its unit-tau spectra into it, and each step
+allocates only the fresh array of coefficients it returns.  `rhs` and
+`step_rk4` are physical-space adapters over the same kernel.
 """
 
 from __future__ import annotations
@@ -134,51 +137,103 @@ def _bottom_forcing(g: Grid, p: AbcdParams, spectra):
 
 
 def _bottom_at(b: Bathymetry, g: Grid, p: AbcdParams):
-    """t -> (h_hat, force) of a separable bottom, or (None, None) over a flat one.
+    """(h_hat, force) of a separable bottom at unit tau, and the clock
+    t -> (tau, c1 tau'', tau') that scales them at time t; (None, None)
+    over a flat one.
 
-    The forcing is built from the bottom's cached spectra at unit tau;
-    each stage scales it by tau, tau' and tau''.
+    The unit forcing is built once from the bottom's cached spectra;
+    `_Kernel.at` scales it into the kernel's buffers at each stage time.
     """
     if b.is_flat:
-        return lambda t: (None, None)
-    h_hat, tf = _bottom_forcing(g, p, b.spectra(g))
+        return None, None
+    unit = _bottom_forcing(g, p, b.spectra(g))
 
-    def at(t):
+    def clock(t):
         tv, dtv, d2tv = b.tau(t)
-        return tv * h_hat, np.array((p.c1 * d2tv, dtv))[:, None] * tf
+        return tv, p.c1 * d2tv, dtv
 
-    return at
+    return unit, clock
 
 
 class _Kernel:
     """Tendency and RK4 step of the stacked coefficients y = (u_hat, eta_hat).
 
     A tendency costs one stacked inverse transform of (u_hat, eta_hat +
-    h_hat) to the fine grid and one stacked forward transform of
-    (u^2, u (eta + h)) back, so an RK4 step costs 8 transforms.
+    tau h_hat) to the fine grid and one stacked forward transform of
+    (u^2, u (eta + h)) back, so an RK4 step costs 8 transforms.  `bottom`
+    is the (h_hat, force) of `_bottom_at` at unit tau, or None over a flat
+    bottom; `at` scales it to a time.
+
+    Each kernel owns a workspace, allocated once from its grid: the
+    buffers of the dealiased products, tau h_hat and the scaled forcing of
+    the current time, the padded input (u_hat, eta_hat + tau h_hat), the
+    stage input and the four stage tendencies.  A step runs in it with the
+    operations, and their order, of the plain RK4 formula and returns a
+    fresh array, since a snapshot State freezes the coefficients it
+    carries.
     """
 
-    def __init__(self, g: Grid, p: AbcdParams):
+    def __init__(self, g: Grid, p: AbcdParams, bottom=None):
         ik_hel = g._ik * g._helm
         self.grid = g
         self.lin = np.stack((ik_hel * (p.c * g.k2 - 1.0), ik_hel * (p.a * g.k2 - 1.0)))
         self.quad = np.stack((-0.5 * ik_hel, -ik_hel))
+        self.bottom = bottom
+        shape = self.lin.shape
+        self._products = g._product_buffers(shape)
+        self._h = np.empty(shape[-1], complex)
+        self._scaled, self._padded, self._stage = np.empty((3,) + shape, complex)
+        self._k = tuple(np.empty((4,) + shape, complex))
 
-    def __call__(self, y, h_hat, force):
-        prods = self.grid._dealiased_products(y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
-        k = self.lin * y[::-1] + self.quad * prods
-        if force is not None:
-            k += force
-        return k
+    def at(self, scales) -> None:
+        """Scale the bottom to the time of `scales` = (tau, c1 tau'', tau')."""
+        (h_hat, force), (tau, c1_tau2, dtau) = self.bottom, scales
+        np.multiply(tau, h_hat, out=self._h)
+        np.multiply(c1_tau2, force[0], out=self._scaled[0])
+        np.multiply(dtau, force[1], out=self._scaled[1])
 
-    def step(self, y, t: float, dt: float, bottom):
-        """One classical Runge-Kutta step from time t (dt may be negative)."""
-        start, mid, end = bottom(t), bottom(t + 0.5 * dt), bottom(t + dt)
-        k1 = self(y, *start)
-        k2 = self(y + 0.5 * dt * k1, *mid)
-        k3 = self(y + 0.5 * dt * k2, *mid)
-        k4 = self(y + dt * k3, *end)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def __call__(self, y, out):
+        """The tendency of y into out, over the bottom at the time of the last `at`."""
+        x = y
+        if self.bottom is not None:
+            x = self._padded
+            x[0] = y[0]
+            np.add(y[1], self._h, out=x[1])
+        prods = self.grid._dealiased_products(x, self._products)
+        np.multiply(self.lin, y[::-1], out=out)
+        np.multiply(self.quad, prods, out=prods)
+        out += prods
+        if self.bottom is not None:
+            out += self._scaled
+        return out
+
+    def step(self, y, t: float, dt: float, clock=None):
+        """One classical Runge-Kutta step from time t (dt may be negative),
+        as a fresh array; `clock` is the t -> scales of `_bottom_at`."""
+        half = 0.5 * dt
+        k1, k2, k3, k4 = self._k
+        x = self._stage
+        if clock is not None:
+            self.at(clock(t))
+        self(y, k1)
+        np.add(y, np.multiply(half, k1, out=x), out=x)
+        if clock is not None:
+            self.at(clock(t + 0.5 * dt))
+        self(x, k2)
+        np.add(y, np.multiply(half, k2, out=x), out=x)
+        self(x, k3)
+        np.add(y, np.multiply(dt, k3, out=x), out=x)
+        if clock is not None:
+            self.at(clock(t + dt))
+        self(x, k4)
+        # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        return y + k1
 
 
 def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
@@ -186,11 +241,10 @@ def rhs(s: State, bs: BathymetrySamples, p: AbcdParams):
     g = s.grid
     if not g.compatible(bs.grid):
         raise ValueError("state and bathymetry samples live on different grids")
-    bottom = None, None
-    if not bs.zero:
-        h_hat, tf = _bottom_forcing(g, p, bs.spectra)
-        bottom = h_hat, np.array((p.c1, 1.0))[:, None] * tf
-    du, deta = g.from_hat(_Kernel(g, p)(s.coeffs, *bottom))
+    k = _Kernel(g, p, None if bs.zero else _bottom_forcing(g, p, bs.spectra))
+    if not bs.zero:  # the sample's spectra are the bottom at its time: unit scales
+        k.at((1.0, p.c1, 1.0))
+    du, deta = g.from_hat(k(s.coeffs, np.empty_like(k.lin)))
     return deta, du
 
 
@@ -212,7 +266,8 @@ def max_group_speed(p: AbcdParams, g: Grid) -> float:
 def step_rk4(s: State, dt: float, b: Bathymetry, p: AbcdParams) -> State:
     """One classical Runge-Kutta step of size dt (dt may be negative)."""
     g = s.grid
-    y = _Kernel(g, p).step(s.coeffs, s.t, dt, _bottom_at(b, g, p))
+    bottom, clock = _bottom_at(b, g, p)
+    y = _Kernel(g, p, bottom).step(s.coeffs, s.t, dt, clock)
     return _state(g, y, s.t + dt)
 
 
@@ -291,8 +346,8 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     snapshots = set(cfg.snapshot_steps())
     n_total = max(snapshots)
-    kernel = _Kernel(g, cfg.params)
-    bottom = _bottom_at(cfg.bathymetry, g, cfg.params)
+    bottom, clock = _bottom_at(cfg.bathymetry, g, cfg.params)
+    kernel = _Kernel(g, cfg.params, bottom)
 
     s = State(g, cfg.eta0, cfg.u0, cfg.t_start)
     y = s.coeffs
@@ -304,7 +359,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
     observer(s)
     for n in range(1, n_total + 1):
         # times from the step index avoid accumulated roundoff in t
-        y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, bottom)
+        y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, clock)
         if n in snapshots:
             s = _state(g, y, cfg.t_start + n * cfg.dt)
             if not (np.all(np.isfinite(s.eta)) and np.all(np.isfinite(s.u))):

@@ -177,9 +177,12 @@ class TestIdentitySuite:
 
     def test_check_that_did_not_run_fails_the_suite(self, tmp_path, capsys):
         # the scheduled window is undefined before t = 11, so the I, J and
-        # local-energy series start with NaN and their FD checks cannot run
+        # local-energy series are finite at 11.0, 11.1, 11.2, 11.3 and 11.35
+        # only; the last interval is short, which leaves four points on the
+        # cadence, too few for the five-point stencil: those checks cannot run
         out = tmp_path / "sched"
-        cfg = _write_cfg(tmp_path, SCHEDULED_FROM_ZERO_TEXT, out=out)
+        text = SCHEDULED_FROM_ZERO_TEXT.replace("t_end = 12.0", "t_end = 11.35")
+        cfg = _write_cfg(tmp_path, text, out=out)
         assert main(["run", cfg]) == 3
         stdout = capsys.readouterr().out
         assert "no finite value for virial_i_rate, virial_j_rate, local_energy_rate -> FAIL" in stdout
@@ -189,6 +192,23 @@ class TestIdentitySuite:
         # the checks that did run are still reported, and passed
         assert summary["residual_maxima"]["hamiltonian_rate"] < 1e-6
         assert summary["residual_maxima"]["decomposition"] < 1e-6
+
+    def test_scheduled_suite_from_t0_checks_the_rates_on_the_finite_tail(self, tmp_path):
+        # 0 -> 12 every 0.1: the I, J and local-energy series are NaN before
+        # t = 11; their residuals are NaN where the stencil touches a NaN and
+        # finite from t = 11.2 to 11.8
+        out = tmp_path / "sched"
+        main(["run", _write_cfg(tmp_path, SCHEDULED_FROM_ZERO_TEXT, out=out)])
+        maxima = json.loads((out / "summary.json").read_text())["residual_maxima"]
+        cols = _read_csv_columns(str(out / "diagnostics.csv"))
+        tail = cols["t"] > 11.15
+        for name in ("hamiltonian", "virial_i", "virial_j", "local_energy"):
+            assert maxima[name + "_rate"] is not None and math.isfinite(maxima[name + "_rate"]), name
+            assert maxima[name + "_rate"] < 1e-6, name
+            res = cols[name + "_residual"]
+            assert np.all(np.isfinite(res[tail][:-2])) and np.all(np.isnan(res[tail][-2:])), name
+        for name in ("virial_i", "virial_j", "local_energy"):
+            assert np.all(np.isnan(cols[name + "_residual"][~tail])), name
 
     def test_scheduled_suite_without_late_snapshots_is_rejected_before_running(self, tmp_path, capsys):
         # 0 -> 11.1 every 0.1: two snapshots at t >= 11, too few for the rate checks
@@ -222,7 +242,10 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("text, code, rates", [
         (IDENTITY_TEXT, 0, {"hamiltonian_rate", "virial_i_rate", "virial_j_rate", "local_energy_rate"}),
-        (SCHEDULED_FROM_ZERO_TEXT, 3, {"hamiltonian_rate"}),
+        # the window is undefined before t = 11; the FD checks run on the finite
+        # tail. A rate check passes, the change of variables does not (1.05e-6)
+        (SCHEDULED_FROM_ZERO_TEXT, 3, {"hamiltonian_rate", "virial_i_rate", "virial_j_rate",
+                                       "local_energy_rate"}),
         # snapshots at steps 0, 2, 4, 6 and 7: the short last interval is dropped,
         # four are left, too few for the five-point stencil
         (IDENTITY_TEXT.replace("t_end = 0.06", "t_end = 0.007"), 3, set()),

@@ -27,6 +27,14 @@ from abcdsim import (
 )
 from abcdsim.diagnostics import hamiltonian_h
 from abcdsim.bathymetry import Bathymetry, BathymetrySamples
+from oracles import (
+    AllocatingKernel,
+    allocating_bottom_at,
+    allocating_rhs,
+    allocating_run_coeffs,
+    from_fine,
+    to_fine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +54,13 @@ def _reference_rhs(s, bs, p):
     hel = g._helm
     k2 = g.k2
 
-    uf = g._to_fine(uh)
+    uf = to_fine(g, uh)
     if bs.zero:
-        sf = g._to_fine(eh)
+        sf = to_fine(g, eh)
     else:
-        sf = g._to_fine(g.hat(s.eta + bs.h))
-    p_us = g._from_fine(uf * sf)  # dealiased u*(eta+h)
-    p_uu = g._from_fine(uf * uf)  # dealiased u^2
+        sf = to_fine(g, g.hat(s.eta + bs.h))
+    p_us = from_fine(g, uf * sf)  # dealiased u*(eta+h)
+    p_uu = from_fine(g, uf * uf)  # dealiased u^2
 
     deta_hat = ik * hel * ((p.a * k2 - 1.0) * uh - p_us)
     du_hat = ik * hel * ((p.c * k2 - 1.0) * eh - 0.5 * p_uu)
@@ -428,6 +436,117 @@ class TestStepCost:
             monkeypatch.undo()
             counts.append(len(calls))
         assert counts == [3, 3]
+
+
+BOTTOMS = [
+    (flat_bottom(), AbcdParams(a=-1.0, c=-1.0)),
+    (decaying_bump(2e-3, width=2.0, center=1.0), AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.56)),
+    (traveling_ripple(2e-3, width=2.0, k0=1.5), AbcdParams(a=-0.6, c=-0.4, a1=0.2, c1=0.4)),
+]
+BOTTOM_IDS = ["flat", "decaying-bump", "traveling-ripple"]
+
+
+def _oracle_config(bottom, params, n=128):
+    # 240 steps, a snapshot every 40 and the last one
+    g = Grid(10 * np.pi, n)
+    eta0, u0 = gaussian_pair(g, eps=5e-2, width=2.0)
+    return SimConfig(params=params, bathymetry=bottom, grid=g, eta0=eta0, u0=u0,
+                     dt=1e-2, t_start=0.5, t_end=2.9, snapshot_every=40)
+
+
+class TestAgainstAllocatingKernel:
+    # the in-place kernel runs the operations of the allocating one in the
+    # same order, so every value is the same float, not merely close
+    @pytest.mark.parametrize("bottom, params", BOTTOMS, ids=BOTTOM_IDS)
+    def test_run_step_and_rhs_are_bit_identical(self, bottom, params):
+        cfg = _oracle_config(bottom, params)
+        g = cfg.grid
+        got = run(cfg).snapshots
+        want = allocating_run_coeffs(cfg)
+        assert len(got) == len(want) == 7
+        for s, y in zip(got, want):
+            assert np.array_equal(s.coeffs, y), s.t
+        oracle = AllocatingKernel(g, params)
+        at = allocating_bottom_at(bottom, g, params)
+        for s in got:
+            for dt in (cfg.dt, -cfg.dt):
+                assert np.array_equal(step_rk4(s, dt, bottom, params).coeffs,
+                                      oracle.step(s.coeffs, s.t, dt, at)), (s.t, dt)
+            bs = bottom.sample(g, s.t)
+            for x, y in zip(rhs(s, bs, params), allocating_rhs(s, bs, params)):
+                assert np.array_equal(x, y), s.t
+
+
+class TestStepAllocations:
+    @pytest.mark.parametrize("bottom, params", BOTTOMS, ids=BOTTOM_IDS)
+    def test_a_step_allocates_only_the_array_it_returns(self, bottom, params):
+        # numpy reports its array buffers to tracemalloc. While steps run,
+        # the traced memory may hold the returned array and the one it
+        # replaces, plus Python scalars, but no temporaries of the stages
+        # (about 16 arrays of y's size at once in an allocating step)
+        import tracemalloc
+        from abcdsim.solver import _bottom_at, _Kernel
+
+        cfg = _oracle_config(bottom, params, n=512)
+        unit, clock = _bottom_at(bottom, cfg.grid, params)
+        kernel = _Kernel(cfg.grid, params, unit)
+        y = kernel.step(State(cfg.grid, cfg.eta0, cfg.u0, 0.5).coeffs, 0.5, cfg.dt, clock)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for n in range(1, 11):
+                y = kernel.step(y, 0.5 + n * cfg.dt, cfg.dt, clock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 2 * y.nbytes + 4096
+
+
+def _workspace(kernel) -> list:
+    """Every array a kernel holds, the buffers of its tuples included."""
+    arrays = []
+    for value in vars(kernel).values():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+    return arrays
+
+
+class TestWorkspaceAliasing:
+    @pytest.mark.parametrize("bottom, params", BOTTOMS[:2], ids=BOTTOM_IDS[:2])
+    def test_snapshots_and_steps_own_their_arrays(self, bottom, params, monkeypatch):
+        import abcdsim.solver as solver
+
+        cfg = _oracle_config(bottom, params)
+        kernels, steps = [], []
+        step = solver._Kernel.step
+
+        def recording(kernel, y, *args):
+            out = step(kernel, y, *args)
+            kernels.append(kernel)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(solver._Kernel, "step", recording)
+        seen = []
+
+        def observer(s):
+            # a second kernel on the same grid, between steps of the run
+            rhs(s, bottom.sample(s.grid, s.t), params)
+            seen.append((s, s.coeffs.copy(), s.eta.copy(), s.u.copy()))
+
+        run(cfg, observer=observer)
+        assert len(steps) == 240 and all(k is kernels[0] for k in kernels)
+        work = _workspace(kernels[0])
+        assert len(work) >= 6
+        for y in steps:
+            assert not any(np.shares_memory(y, w) for w in work)
+        for s, y, eta, u in seen:
+            assert np.array_equal(s.coeffs, y) and np.array_equal(s.eta, eta)
+            assert np.array_equal(s.u, u)
+        # the rhs calls left the run as it is without them
+        want = allocating_run_coeffs(cfg)
+        assert all(np.array_equal(s.coeffs, y) for (s, *_), y in zip(seen, want))
 
 
 class TestStateCoefficients:
