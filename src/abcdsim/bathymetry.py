@@ -51,7 +51,7 @@ class BathymetrySamples:
     def spectra(self) -> np.ndarray:
         """Stacked rfft of (h, dt_h, dt_dxx_h, dtt_dx_h, dtt_dxx_h).  A sample from
         `Bathymetry.sample` carries it; a hand-built one transforms on first use."""
-        return np.fft.rfft(np.stack([getattr(self, k) for k in _SPECTRAL]))
+        return self.grid._rfft(np.stack([getattr(self, k) for k in _SPECTRAL]))
 
 
 # the fields whose rfft rows a sample carries; row i is amplitude times
@@ -86,7 +86,7 @@ class Bathymetry:
         key = (grid.L, grid.N)
         if key not in self._profile_cache:
             rows = self.amplitude * np.array(self._profile_fn(grid.x), dtype=float)
-            unit = np.fft.rfft(rows)[_SPECTRAL_PROFILE]
+            unit = grid._rfft(rows)[_SPECTRAL_PROFILE]
             unit.flags.writeable = False
             self._profile_cache[key] = rows, unit
         return self._profile_cache[key]

@@ -142,7 +142,7 @@ class _Snap:
                 helm * ((1.0 - p.a * g.k2) * y[0] + prods[1] + prods[2]),  # F = T(a dxx u + u + u(eta+h))
                 helm * ((1.0 - p.c * g.k2) * y[1] + 0.5 * prods[0]),      # G = T(c dxx eta + eta + u^2/2)
             ), out=rows[split:])
-        f = dict(zip(names, np.fft.irfft(rows, n=g.N, out=fields)))
+        f = dict(zip(names, g._irfft(rows, out=fields)))
         if zero:
             f.update(dict.fromkeys(cls._SAMPLED + cls._PRODUCTS[4:] + cls._BOTTOM))
             f["T_ueh"], f["Tdx_ueh"] = f["T_ue"], f["Tdx_ue"]

@@ -13,6 +13,10 @@ kept empty: initial data never populates it, odd-order derivatives and
 dealiased products zero it.  With Nyquist-free fields the rectangle rule
 is exact for the product of any two resolved fields, which is what makes
 the integration-by-parts steps of the identity checks hold to round-off.
+
+Every transform in the package goes through `Grid._rfft` and
+`Grid._irfft`: the floats of `np.fft.rfft`/`irfft` without the cost of
+their Python wrappers (see `_bind_transforms`).
 """
 
 from __future__ import annotations
@@ -20,6 +24,28 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Grid"]
+
+
+def _bind_transforms():
+    """The pocketfft ufuncs that np.fft.rfft and np.fft.irfft wrap, called as
+    f(a, factor, out=out) with the wrappers' factors (1 forward, 1/n
+    inverse); where numpy's private module lacks them, stand-ins that call
+    np.fft.  rfft_n_even suffices: every length the package transforms is
+    even."""
+    try:
+        from numpy.fft._pocketfft_umath import irfft, rfft_n_even
+    except ImportError:
+
+        def rfft_n_even(a, factor, out):
+            return np.fft.rfft(a, out=out)
+
+        def irfft(c, factor, out):
+            return np.fft.irfft(c, out.shape[-1], out=out)
+
+    return rfft_n_even, irfft
+
+
+_rfft_ufunc, _irfft_ufunc = _bind_transforms()
 
 
 class Grid:
@@ -74,11 +100,27 @@ class Grid:
 
     # -- transforms ------------------------------------------------------
 
+    def _rfft(self, a, out=None):
+        """rfft along the last axis of a real array of even length, into
+        `out` or a fresh array."""
+        if out is None:
+            out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), complex)
+        return _rfft_ufunc(a, 1.0, out=out)
+
+    def _irfft(self, c, n=None, out=None):
+        """irfft of the half spectra along the last axis of c to n points (N
+        by default), into `out` or a fresh array; the spectra are cut or
+        zero-padded to n // 2 + 1 modes."""
+        n = self.N if n is None else n
+        if out is None:
+            out = np.empty(c.shape[:-1] + (n,))
+        return _irfft_ufunc(c, 1.0 / n, out=out)
+
     def hat(self, values):
-        return np.fft.rfft(self.check(values))
+        return self._rfft(self.check(values))
 
     def from_hat(self, coeffs):
-        return np.fft.irfft(coeffs, n=self.N)
+        return self._irfft(np.asarray(coeffs))
 
     # -- operators -------------------------------------------------------
 
@@ -125,11 +167,11 @@ class Grid:
         the Nyquist mode is dropped on the way in and zeroed on the way out.
         """
         fine, head, tail, wide, prods = buffers
-        np.fft.irfft(coeffs[..., : self.N // 2], n=self.n_fine, out=fine)
+        self._irfft(coeffs[..., : self.N // 2], self.n_fine, out=fine)
         np.multiply(fine, self._up, out=fine)
         np.multiply(tail, head, out=tail)  # row 0 last: the others read it
         np.multiply(head, head, out=head)
-        np.fft.rfft(fine, out=wide)
+        self._rfft(fine, out=wide)
         np.multiply(prods, self._down, out=prods)
         prods[..., -1] = 0.0
         return prods

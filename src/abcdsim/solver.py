@@ -15,10 +15,12 @@ of h is ever taken.
 builds a physical State only at snapshots; that State carries the
 coefficients too, so an observer needs no forward transform of u or
 eta.  The kernel steps in a workspace it allocates once per grid: the
-transforms write into it, the separable bottom enters as three scalars
-per stage time that scale its unit-tau spectra into it, and each step
-allocates only the fresh array of coefficients it returns.  `rhs` and
-`step_rk4` are physical-space adapters over the same kernel.
+transforms (`Grid._rfft`/`_irfft`, numpy's pocketfft ufuncs) write into
+it, the separable bottom enters as three scalars per stage time that
+scale its unit-tau spectra into it, the RK4 scalars enter as 0-d complex
+arrays made once per dt, and each step allocates only the fresh array of
+coefficients it returns.  `rhs` and `step_rk4` are physical-space
+adapters over the same kernel.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class State:
         A State built by `run` carries them; a hand-built one computes
         them with one stacked transform on first use.
         """
-        y = np.fft.rfft(np.stack((self.u, self.eta)))
+        y = self.grid._rfft(np.stack((self.u, self.eta)))
         y.flags.writeable = False
         return y
 
@@ -155,6 +157,11 @@ def _bottom_at(b: Bathymetry, g: Grid, p: AbcdParams):
     return unit, clock
 
 
+# the RK4 scalars enter the kernel's ufuncs as 0-d complex arrays (see
+# `_Kernel.step`): a Python float costs a dtype promotion per call
+_TWO = np.array(2.0, complex)
+
+
 class _Kernel:
     """Tendency and RK4 step of the stacked coefficients y = (u_hat, eta_hat).
 
@@ -184,6 +191,7 @@ class _Kernel:
         self._h = np.empty(shape[-1], complex)
         self._scaled, self._padded, self._stage = np.empty((3,) + shape, complex)
         self._k = tuple(np.empty((4,) + shape, complex))
+        self._dt = None  # the dt of `_dts`
 
     def at(self, scales) -> None:
         """Scale the bottom to the time of `scales` = (tau, c1 tau'', tau')."""
@@ -210,7 +218,10 @@ class _Kernel:
     def step(self, y, t: float, dt: float, clock=None):
         """One classical Runge-Kutta step from time t (dt may be negative),
         as a fresh array; `clock` is the t -> scales of `_bottom_at`."""
-        half = 0.5 * dt
+        if dt != self._dt:
+            self._dt = dt
+            self._dts = tuple(np.array(v, complex) for v in (0.5 * dt, dt, dt / 6.0))
+        half, full, sixth = self._dts
         k1, k2, k3, k4 = self._k
         x = self._stage
         if clock is not None:
@@ -222,17 +233,17 @@ class _Kernel:
         self(x, k2)
         np.add(y, np.multiply(half, k2, out=x), out=x)
         self(x, k3)
-        np.add(y, np.multiply(dt, k3, out=x), out=x)
+        np.add(y, np.multiply(full, k3, out=x), out=x)
         if clock is not None:
             self.at(clock(t + dt))
         self(x, k4)
         # y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order
-        k2 *= 2.0
+        k2 *= _TWO
         k1 += k2
-        k3 *= 2.0
+        k3 *= _TWO
         k1 += k3
         k1 += k4
-        k1 *= dt / 6.0
+        k1 *= sixth
         return y + k1
 
 

@@ -1,6 +1,29 @@
-"""Shared pytest hooks: verdict lines for the acceptance criteria."""
+"""Shared pytest hooks: verdict lines for the acceptance criteria, and a
+counter of the package's transforms."""
 
 import re
+
+import pytest
+
+from abcdsim import Grid
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """The (name, input) of every transform the package makes from here on.
+
+    Every transform goes through `Grid._rfft` or `Grid._irfft` (see
+    `tests/test_grid.py::TestTransformBinding`), so patching the two counts
+    them all; clear the list to start a new count.
+    """
+    calls = []
+    for name in ("_rfft", "_irfft"):
+        def counted(grid, a, *args, _name=name, _fn=getattr(Grid, name), **kwargs):
+            calls.append((_name, a))
+            return _fn(grid, a, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -123,18 +123,17 @@ class TestCarriedSpectra:
             assert np.max(np.abs(bs.spectra - want)) <= 1e-14 * np.max(np.abs(want)), t
         assert not b.spectra(grid).flags.writeable  # shared by every run on this grid
 
-    def test_profile_spectra_are_built_once_per_grid(self, grid, monkeypatch):
+    def test_profile_spectra_are_built_once_per_grid(self, grid, transform_calls):
         b = decaying_bump(1e-3, width=2.0)
         b.sample(grid, 0.0)
-        calls = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        transform_calls.clear()
         for t in (0.0, 0.5, 1.0):
             b.sample(grid, t).spectra
         assert b.spectra(grid) is b.spectra(Grid(grid.L, grid.N))
-        assert calls == []
+        assert transform_calls == []
         b.sample(Grid(grid.L, 2 * grid.N), 0.0)
-        assert calls == [1]  # one stacked transform for a new grid
+        # one stacked transform for a new grid
+        assert [(name, a.shape) for name, a in transform_calls] == [("_rfft", (3, 2 * grid.N))]
 
     def test_a_hand_built_sample_transforms_its_fields(self, grid):
         bs = decaying_bump(1e-3, width=2.0).sample(grid, 0.4)

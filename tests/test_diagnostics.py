@@ -311,7 +311,7 @@ class TestDecayMetrics:
             ds.hcal[0], virial_I(s0, w0) + 0.3 * virial_J(s0, w0), rtol=1e-13
         )
 
-    def test_builds_only_the_first_derivatives(self, grid40, monkeypatch):
+    def test_builds_only_the_first_derivatives(self, grid40, transform_calls):
         # per hand-built state: one rfft for its coefficients, one stacked
         # irfft of dx u and dx eta; the rest of the ladder is never built,
         # and the values are those of the engine's whole ladder
@@ -321,12 +321,9 @@ class TestDecayMetrics:
         for s in states:
             eng.observe(s)
         fresh = [State(grid40, s.eta, s.u, s.t) for s in states]
-        calls = []
-        for name in ("rfft", "irfft", "fft", "ifft"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        transform_calls.clear()
         got = decay_metrics(fresh, alpha=0.3)
-        assert len(calls) <= 2 * len(fresh)
+        assert 0 < len(transform_calls) <= 2 * len(fresh)
         for field, name in (("windowed", "windowed_h1"), ("interval", "interval_h1"),
                             ("running_integral", "running_decay_integral"), ("hcal", "virial_mix")):
             assert list(getattr(got, field)) == list(eng.series(name)), field
@@ -453,7 +450,8 @@ class TestObserveCost:
         (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0, 3),
         (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0, 3),
     ], ids=["flat-fixed", "bump-schedule"])
-    def test_counts_per_observe(self, bottom, mode, t_start, transforms, monkeypatch):
+    def test_counts_per_observe(self, bottom, mode, t_start, transforms, monkeypatch,
+                                transform_calls):
         g = Grid(40 * np.pi, 256)
         eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
         states = []
@@ -462,36 +460,32 @@ class TestObserveCost:
             observer=states.append)
         eng = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
 
-        calls, forward = {}, []
+        calls = {}
 
-        def counting(fn, key, inputs=None):
+        def counting(fn, key):
             def wrapped(*args, **kwargs):
                 calls[key] = calls.get(key, 0) + 1
-                if inputs is not None:
-                    inputs.append(np.atleast_2d(args[0]))
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft", forward))
-        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
         monkeypatch.setattr(Grid, "check", counting(Grid.check, "check"))
         monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
         for s in states:
             calls.clear()
-            forward.clear()
+            transform_calls.clear()
             eng.observe(s)
-            assert calls["fft"] == transforms, s.t
+            assert len(transform_calls) == transforms, s.t
             assert calls.get("check", 0) <= 1
             assert calls["sample"] == 1
             # no forward transform of u or eta: run handed over their coefficients
-            rows = [r for f in forward for r in f]
+            rows = [r for name, a in transform_calls if name == "_rfft" for r in a.reshape(-1, a.shape[-1])]
             assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for r in rows)
 
     @pytest.mark.parametrize("bottom, mode, t_start", [
         (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0),
         (decaying_bump(1e-3, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0),
     ], ids=["flat-fixed", "bump-schedule"])
-    def test_counts_per_block(self, bottom, mode, t_start, monkeypatch):
+    def test_counts_per_block(self, bottom, mode, t_start, monkeypatch, transform_calls):
         # as run's observer the engine evaluates blocks of B = 2048 // 512 = 4
         # snapshots: 3 transforms and B bottom samples per block
         g = Grid(40 * np.pi, 512)
@@ -503,31 +497,28 @@ class TestObserveCost:
         assert len(states) == 8  # two blocks
         eng = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
 
-        calls, forward = {}, []
+        calls = {}
 
-        def counting(fn, key, inputs=None):
+        def counting(fn, key):
             def wrapped(*args, **kwargs):
                 calls[key] = calls.get(key, 0) + 1
-                if inputs is not None:
-                    inputs.append(np.atleast_2d(args[0]).reshape(-1, args[0].shape[-1]))
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft", forward))
-        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
         monkeypatch.setattr(Grid, "check", counting(Grid.check, "check"))
         monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
         for block in (states[:4], states[4:]):
             calls.clear()
-            forward.clear()
+            transform_calls.clear()
             for s in block[:3]:
                 eng(s)
-            assert calls == {}  # buffered: nothing is evaluated before the block is full
+            # buffered: nothing is evaluated before the block is full
+            assert calls == {} and transform_calls == []
             eng(block[3])
-            assert calls["fft"] == 3
+            assert len(transform_calls) == 3
             assert calls.get("check", 0) <= 4
             assert calls["sample"] == 4
-            rows = [r for f in forward for r in f]
+            rows = [r for name, a in transform_calls if name == "_rfft" for r in a.reshape(-1, a.shape[-1])]
             assert not any(np.array_equal(r, s.u) or np.array_equal(r, s.eta) for s in block for r in rows)
         assert eng.series("t").size == 8
 

@@ -1,11 +1,17 @@
 """Spectral grid operators: derivatives, smoothing inverse, products, quadrature."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from abcdsim import Grid, State
+import abcdsim.grid as grid_module
+from abcdsim import Grid, State, decaying_bump
+from abcdsim.bathymetry import BathymetrySamples
+from abcdsim.cli import main as cli_main
 from oracles import mult
+from test_cli import IDENTITY_TEXT, _write_cfg
 
 
 class TestConstruction:
@@ -168,3 +174,82 @@ class TestCanonicalPair:
         f, h = g.helmholtz_inverse(s.u), g.helmholtz_inverse(s.eta)
         npt.assert_allclose(f, np.cos(5.0 * g.x) / 26.0, atol=1e-13)
         npt.assert_allclose(h, np.cos(2.0 * g.x) / 5.0, atol=1e-13)
+
+
+@pytest.fixture(params=["bound", "fallback"])
+def binding(request, monkeypatch):
+    """The transforms as bound at import, or the np.fft stand-ins that
+    `_bind_transforms` falls back to when numpy's private module is missing."""
+    if request.param == "fallback":
+        # np.fft keeps the module it already holds, so only the binding falls back
+        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        rfft, irfft = grid_module._bind_transforms()
+        assert not isinstance(rfft, np.ufunc) and not isinstance(irfft, np.ufunc)
+        monkeypatch.setattr(grid_module, "_rfft_ufunc", rfft)
+        monkeypatch.setattr(grid_module, "_irfft_ufunc", irfft)
+    return request.param
+
+
+class TestTransformBinding:
+    """`Grid._rfft` and `Grid._irfft` give the floats of np.fft at every shape
+    the package transforms, whichever way they are bound."""
+
+    @staticmethod
+    def _spectra(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n", [128, 512, 4096])
+    def test_kernel_pair(self, binding, n):
+        # `_dealiased_products`: (2, N/2) to the fine grid and back, into buffers
+        g = Grid(10 * np.pi, n)
+        rng = np.random.default_rng(n)
+        c = self._spectra(rng, (2, n // 2 + 1))[..., : n // 2]
+        fine = np.empty((2, g.n_fine))
+        wide = np.empty((2, g.n_fine // 2 + 1), complex)
+        assert g._irfft(c, g.n_fine, out=fine) is fine
+        assert np.array_equal(fine, np.fft.irfft(c, n=g.n_fine))
+        assert np.array_equal(g._irfft(c, g.n_fine), fine)
+        assert g._rfft(fine, out=wide) is wide
+        assert np.array_equal(wide, np.fft.rfft(fine))
+        assert np.array_equal(g._rfft(fine), wide)
+
+    @pytest.mark.parametrize("n, rows", [(128, 16), (512, 26), (4096, 26)])
+    def test_ladder(self, binding, n, rows):
+        # `_Snap._ladder`: (rows, B, N/2 + 1) to N, B = max(1, 2048 // N)
+        g = Grid(10 * np.pi, n)
+        c = self._spectra(np.random.default_rng(rows), (rows, max(1, 2048 // n), n // 2 + 1))
+        fields = np.empty(c.shape[:-1] + (n,))
+        assert g._irfft(c, out=fields) is fields
+        assert np.array_equal(fields, np.fft.irfft(c, n=n))
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_fields_states_and_bottoms(self, binding, n):
+        g = Grid(10 * np.pi, n)
+        rng = np.random.default_rng(7 * n)
+        u, eta = rng.standard_normal((2, n))
+        assert np.array_equal(g.hat(u), np.fft.rfft(u))
+        for c in (self._spectra(rng, n // 2 + 1), self._spectra(rng, (2, n // 2 + 1))):
+            assert np.array_equal(g.from_hat(c), np.fft.irfft(c, n=n))
+        assert np.array_equal(State(g, eta, u, 0.0).coeffs, np.fft.rfft(np.stack((u, eta))))
+        # the 3 profile rows of a bottom, and the 5 rows of a hand-built sample
+        b = decaying_bump(1e-3, width=2.0, center=1.3)
+        rows, unit = b._profiles(g)
+        assert np.array_equal(unit, np.fft.rfft(rows)[[0, 0, 2, 1, 2]])
+        bs = b.sample(g, 0.4)
+        hand = BathymetrySamples(**{k: v for k, v in vars(bs).items() if k != "spectra"})
+        fields = ("h", "dt_h", "dt_dxx_h", "dtt_dx_h", "dtt_dxx_h")
+        assert np.array_equal(hand.spectra, np.fft.rfft(np.stack([getattr(bs, k) for k in fields])))
+
+    def test_the_package_calls_no_np_fft_transform(self, tmp_path, monkeypatch, transform_calls):
+        # an identity suite over a bump (stepping, snapshot ladders, bottom
+        # spectra) with every np.fft transform broken: the counters of
+        # `transform_calls` see each transform the package makes
+        def broken(*args, **kwargs):
+            raise AssertionError("np.fft called directly")
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, broken)
+        out = tmp_path / "out"
+        assert cli_main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 0
+        assert {name for name, _ in transform_calls} == {"_rfft", "_irfft"}
+        assert (out / "diagnostics.csv").exists()

@@ -49,6 +49,18 @@ def test_bump_suite_config_passes(monkeypatch, tmp_path):
     check_residual_maxima_against_csv(tmp_path / "out/bump_suite")
 
 
+def test_switch_suite_config_passes(monkeypatch, tmp_path):
+    # the bump ramped to zero over the run: tau, tau' and tau'' independent
+    assert _run(monkeypatch, tmp_path, "switch_suite.ini") == 0
+    s = _summary(tmp_path, "out/switch_suite")
+    assert s["flags"] == {"residuals_ok": True}
+    assert s["bathymetry"] == "smooth-switch"
+    assert {"hamiltonian_rate", "virial_i_rate", "virial_j_rate", "local_energy_rate"} <= set(
+        s["residual_maxima"])
+    assert max(s["residual_maxima"].values()) < 1e-6
+    check_residual_maxima_against_csv(tmp_path / "out/switch_suite")
+
+
 def test_decay_run_config_passes(monkeypatch, tmp_path):
     assert _run(monkeypatch, tmp_path, "decay_run.ini") == 0
     s = _summary(tmp_path, "out/decay_run")

@@ -19,6 +19,7 @@ from abcdsim import (
     random_bandlimited_pair,
     rhs,
     run,
+    smooth_switch_bump,
     state_h1_norm,
     static_bump,
     step_rk4,
@@ -373,7 +374,10 @@ class TestAgainstReference:
         (flat_bottom(), AbcdParams(a=-1.0, c=-1.0)),
         (decaying_bump(2e-3, width=2.0, center=1.0), AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.56)),
         (traveling_ripple(2e-3, width=2.0, k0=1.5), AbcdParams(a=-0.6, c=-0.4, a1=0.2, c1=0.4)),
-    ], ids=["flat", "decaying-bump", "traveling-ripple"])
+        # the ramp, t in [1, 2.5], lies inside the run: tau, tau' and tau'' independent
+        (smooth_switch_bump(2e-3, width=2.0, center=1.0, t_on=1.0, t_off=2.5),
+         AbcdParams(a=-0.8, c=-0.5, a1=0.25, c1=0.5)),
+    ], ids=["flat", "decaying-bump", "traveling-ripple", "smooth-switch"])
     def test_run_matches_reference_after_1000_steps(self, bottom, params):
         g = Grid(10 * np.pi, 128)
         eta0, u0 = gaussian_pair(g, eps=5e-2, width=2.0)
@@ -392,8 +396,9 @@ class TestAgainstReference:
 class TestStepCost:
     @pytest.mark.parametrize("bottom", [flat_bottom(), decaying_bump(1e-3, width=1.0)],
                              ids=["flat", "decaying-bump"])
-    def test_eight_transforms_and_no_bottom_sample_per_step(self, grid, bottom, monkeypatch):
-        calls = {"fft": 0, "sample": 0}
+    def test_eight_transforms_and_no_bottom_sample_per_step(self, grid, bottom, monkeypatch,
+                                                           transform_calls):
+        calls = {"sample": 0}
 
         def counting(fn, key):
             def wrapped(*args, **kwargs):
@@ -401,8 +406,6 @@ class TestStepCost:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, "fft"))
-        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, "fft"))
         monkeypatch.setattr(Bathymetry, "sample", counting(Bathymetry.sample, "sample"))
         p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
         eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
@@ -410,15 +413,16 @@ class TestStepCost:
         # the first run builds the bottom's spectra for this grid once (one
         # stacked transform); the two counted runs after it differ by steps alone
         for n_steps in (10, 10, 30):
-            calls.update(fft=0, sample=0)
+            calls.update(sample=0)
+            transform_calls.clear()
             # snapshots only at the two ends
             run(SimConfig(params=p, bathymetry=bottom, grid=grid, eta0=eta0, u0=u0,
                           dt=1e-2, t_end=n_steps * 1e-2, snapshot_every=1000))
             assert calls["sample"] == 0
-            totals.append(calls["fft"])
+            totals.append(len(transform_calls))
         assert totals[2] - totals[1] == 8 * 20
 
-    def test_rhs_over_a_bump_transforms_only_the_state_products(self, grid, monkeypatch):
+    def test_rhs_over_a_bump_transforms_only_the_state_products(self, grid, transform_calls):
         # the sample carries its spectra: a fine-grid pass and one inverse
         # transform of the tendencies, as over a flat bottom
         p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
@@ -428,13 +432,9 @@ class TestStepCost:
         counts = []
         for bottom in (flat_bottom(), decaying_bump(1e-3, width=1.0)):
             bs = bottom.sample(grid, 0.3)
-            calls = []
-            for name in ("rfft", "irfft"):
-                fn = getattr(np.fft, name)
-                monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+            transform_calls.clear()
             rhs(s, bs, p)
-            monkeypatch.undo()
-            counts.append(len(calls))
+            counts.append(len(transform_calls))
         assert counts == [3, 3]
 
 
@@ -442,8 +442,12 @@ BOTTOMS = [
     (flat_bottom(), AbcdParams(a=-1.0, c=-1.0)),
     (decaying_bump(2e-3, width=2.0, center=1.0), AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.56)),
     (traveling_ripple(2e-3, width=2.0, k0=1.5), AbcdParams(a=-0.6, c=-0.4, a1=0.2, c1=0.4)),
+    # the two bottoms above run on a clock with tau'' = tau = -tau'; this
+    # ramp, inside the oracle runs' t in [0.5, 2.9], keeps the three apart
+    (smooth_switch_bump(2e-3, width=2.0, center=1.0, t_on=1.0, t_off=2.5),
+     AbcdParams(a=-0.8, c=-0.5, a1=0.25, c1=0.5)),
 ]
-BOTTOM_IDS = ["flat", "decaying-bump", "traveling-ripple"]
+BOTTOM_IDS = ["flat", "decaying-bump", "traveling-ripple", "smooth-switch"]
 
 
 def _oracle_config(bottom, params, n=128):
@@ -559,15 +563,14 @@ class TestStateCoefficients:
                   observer=seen.append)
         return seen, res
 
-    def test_run_hands_over_states_carrying_their_coefficients(self, grid, monkeypatch):
+    def test_run_hands_over_states_carrying_their_coefficients(self, grid, transform_calls):
         seen, res = self._snapshots(grid)
-        forward = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: forward.append(1) or rfft(*a, **k))
+        assert transform_calls  # the counter sees run's transforms
+        transform_calls.clear()
         carried = [s.coeffs for s in seen + [res.final_state]]
-        assert forward == []  # carried, not transformed again
+        assert transform_calls == []  # carried, not transformed again
         for s, y in zip(seen, carried):
-            want = rfft(np.stack((s.u, s.eta)))
+            want = np.fft.rfft(np.stack((s.u, s.eta)))
             assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_writing_into_a_state_raises(self, grid):
