@@ -5,6 +5,16 @@ Subcommands: run, report, region-map, audit-bathymetry.  Exit codes:
 All artifacts are byte-deterministic for a fixed config and seed on one
 platform: floats use 17 significant digits, JSON keys are sorted, and
 nothing timestamp-like is emitted.
+
+A run that writes diagnostics (identity suite, decay run) evaluates them
+in one forked worker process when `os.fork` exists and the process may
+run on more than one CPU: the parent steps and pipes each snapshot to
+it, the worker feeds the same `DiagnosticsEngine` and pipes back its
+table, so the diagnostics of one snapshot overlap the steps to the next
+and every artifact keeps its bytes.  Otherwise, as in library use, the
+engine runs in process.  A worker exception is raised again in the
+parent; a worker that dies without a result aborts the run (exit 2,
+reason "diagnostics-worker"); no run leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -14,7 +24,10 @@ import csv
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import traceback
 
 import numpy as np
 
@@ -33,7 +46,7 @@ from .config import (
     resolve_output_dir,
 )
 from .diagnostics import DiagnosticsEngine
-from .solver import SimulationAbort, State, run
+from .solver import SimulationAbort, State, _carrying, run
 
 __all__ = ["main"]
 
@@ -171,6 +184,103 @@ def _params_meta(p) -> dict:
     return {"a": p.a, "c": p.c, "a1": p.a1, "c1": p.c1, "origin": p.origin}
 
 
+class DiagnosticsWorkerDied(SimulationAbort):
+    """The diagnostics worker ended without returning the table or an exception."""
+
+    reason = "diagnostics-worker"
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in the diagnostics worker;
+    the cause of that exception when it is raised again in the parent."""
+
+
+def _worker_usable() -> bool:
+    """Fork a diagnostics worker only where it can run beside the stepping:
+    with os.fork, on more than one CPU this process may use."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1
+
+
+class _EngineWorker:
+    """A DiagnosticsEngine fed in a forked child process.
+
+    `send` pipes a snapshot, or None to end the run, to the child, which
+    rebuilds the State on the grid it inherited and calls the engine;
+    `table` reads back `engine.table()`; `close` closes both pipes and
+    reaps the child, whatever happened.  The child writes no file and
+    leaves only through os._exit, so it never flushes the parent's stdio
+    buffers nor runs its atexit hooks.
+    """
+
+    def __init__(self, engine: DiagnosticsEngine, grid):
+        snap_r, snap_w = os.pipe()
+        back_r, back_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1  # no reply sent
+            try:
+                os.close(snap_w)
+                os.close(back_r)
+                self._serve(engine, grid, snap_r, back_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(snap_r)
+        os.close(back_w)
+        self._to = open(snap_w, "wb")
+        self._from = open(back_r, "rb")
+
+    @staticmethod
+    def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int) -> None:
+        with open(snap_r, "rb") as src, open(back_w, "wb") as dst:
+            try:
+                while (item := pickle.load(src)) is not None:
+                    t, eta, u, coeffs = item
+                    engine(_carrying(State(grid, eta, u, t), coeffs))
+                reply = (engine.table(), None, None)
+            except Exception as exc:
+                reply = (None, exc, traceback.format_exc())
+            pickle.dump(reply, dst, pickle.HIGHEST_PROTOCOL)
+
+    def send(self, state: State | None) -> None:
+        item = None if state is None else (state.t, state.eta, state.u, state.coeffs)
+        try:
+            pickle.dump(item, self._to, pickle.HIGHEST_PROTOCOL)
+            self._to.flush()
+        except BrokenPipeError:  # the child has ended: say why
+            self.table()
+
+    def table(self) -> dict:
+        try:
+            table, exc, text = pickle.load(self._from)
+        except (EOFError, pickle.UnpicklingError):
+            raise DiagnosticsWorkerDied(self._ended()) from None
+        if exc is not None:
+            raise exc from _WorkerTraceback(text)
+        return table
+
+    def _ended(self) -> str:
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+               else f"exited with status {code}")
+        return f"the diagnostics worker {how} before it returned the table"
+
+    def close(self) -> None:
+        # the child sees EOF (or a broken pipe) at its next read or write and exits
+        for fh in (self._to, self._from):
+            try:
+                fh.close()
+            except BrokenPipeError:  # unflushed bytes the child will never read
+                pass
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _execute(cfg: ExperimentConfig, outdir: str):
     """Run cfg, writing its artifacts under outdir; returns the columns of
     diagnostics.csv (name -> array, one value per snapshot) and the RunResult."""
@@ -183,6 +293,8 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         weight_mode=d.weight_mode,
         fixed_lambda=d.fixed_lambda if d.weight_mode == "fixed" else None,
     )
+    worker = _EngineWorker(engine, sim.grid) if _worker_usable() else None
+    feed = worker.send if worker else engine
 
     first = True
 
@@ -192,11 +304,17 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         if first:
             _write_state_csv(os.path.join(outdir, "initial_state.csv"), state)
             first = False
-        engine(state)
+        feed(state)
 
-    result = run(sim, observer=observer)
-    _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)
-    columns = engine.table()
+    try:
+        result = run(sim, observer=observer)
+        if worker:
+            worker.send(None)  # the worker's last block overlaps the write below
+        _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)
+        columns = (worker or engine).table()
+    finally:
+        if worker:
+            worker.close()
     _write_csv(os.path.join(outdir, "diagnostics.csv"), list(columns), list(columns.values()))
     _write_text(os.path.join(outdir, "plot_diagnostics.py"), PLOT_SCRIPT)
     return columns, result

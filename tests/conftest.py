@@ -1,6 +1,8 @@
-"""Shared pytest hooks: verdict lines for the acceptance criteria, and a
-counter of the package's transforms."""
+"""Shared pytest hooks: verdict lines for the acceptance criteria, a
+counter of the package's transforms, and a check that a test leaves no
+child process behind."""
 
+import os
 import re
 
 import pytest
@@ -24,6 +26,15 @@ def transform_calls(monkeypatch):
 
         monkeypatch.setattr(Grid, name, counted)
     return calls
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or not reaped."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):  # no child at all
+            os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

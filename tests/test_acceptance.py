@@ -27,6 +27,7 @@ from abcdsim import (
     refined_margin,
     run,
     satisfies_refined_dispersion,
+    smooth_switch_bump,
     decay_metrics,
     weight_set,
 )
@@ -59,12 +60,13 @@ def _assert_upper_second_order(values, label):
         assert lo <= SCALING_RATIO * hi, (label, values)
 
 
-def _rate_sweep(weight_mode, t_start, t_end, bump_t0, fixed_lambda=None):
+def _rate_sweep(weight_mode, t_start, t_end, bump_t0, fixed_lambda=None, bottom=None):
     """Run the bump-bottom trajectory at dt in {2e-3, 1e-3, 5e-4} with the
     snapshot cadence tied to dt, returning max relative FD-vs-rate
-    residuals keyed by functional name."""
+    residuals keyed by functional name.  The bottom is
+    decaying_bump(1e-2, width=2.0, t0=bump_t0) unless one is given."""
     g = Grid(40 * np.pi, 512)
-    b = decaying_bump(1e-2, width=2.0, t0=bump_t0)
+    b = bottom or decaying_bump(1e-2, width=2.0, t0=bump_t0)
     eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
     out = {}
     for dt in (2e-3, 1e-3, 5e-4):
@@ -165,6 +167,23 @@ def test_criterion_5_virial_rate_laws():
           + "; virial_j residuals "
           + " ".join(f"{v:.3e}" for v in res["virial_j"]))
     for name in ("virial_i", "virial_j"):
+        vals = res[name]
+        assert all(v <= RATE_BOUND for v in vals), name
+        _assert_upper_second_order(vals, name)
+
+
+def test_criterion_5_smooth_switch_rate_laws():
+    # the criterion-5 protocol over a bump that a quintic ramp switches off
+    # across the whole run, so tau, tau' and tau'' are independent (on the
+    # relaxing clock of the other bottoms tau' = -tau and tau'' = tau).
+    # The ramp is only C^2 at t_on and t_off: a stencil that straddles one
+    # converges at first order, so the run spans the ramp exactly
+    res = _rate_sweep("schedule", t_start=11.0, t_end=13.0, bump_t0=None,
+                      bottom=smooth_switch_bump(1e-2, width=2.0, t_on=11.0, t_off=13.0))
+    names = ("virial_i", "virial_j", "hamiltonian", "local_energy")
+    print("criterion 5 (smooth switch): "
+          + "; ".join(f"{name} residuals " + " ".join(f"{v:.3e}" for v in res[name]) for name in names))
+    for name in names:
         vals = res[name]
         assert all(v <= RATE_BOUND for v in vals), name
         _assert_upper_second_order(vals, name)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -11,12 +12,15 @@ import numpy as np
 import pytest
 
 import abcdsim
+from abcdsim import cli, solver
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
 from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _read_csv_columns, _write_csv, main
 from abcdsim.config import build_region_axes, build_sim_config, fmt_float, fmt_value, parse_config
 from abcdsim.diagnostics import DiagnosticsEngine
 from abcdsim.solver import run
 from test_classifier import SHIPPED_REGION_MAP, _full_scan
+
+pytestmark = pytest.mark.usefixtures("no_child_left")
 
 IDENTITY_TEXT = """
 [experiment]
@@ -284,6 +288,141 @@ class TestIdentitySuite:
         # nothing, since no paths or clocks are embedded
         for name in texts["one"]:
             assert texts["one"][name] == texts["two"][name], name
+
+
+@pytest.fixture
+def worker_forks(monkeypatch):
+    """Run the CLI's diagnostics in the forked worker, whatever the CPU
+    count; the pids of the workers forked so far."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the diagnostics worker needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _spoil_worker_blocks(monkeypatch, spoil):
+    """Call spoil(n) at the n-th block the worker evaluates, before the block."""
+    observe_block, parent, calls = DiagnosticsEngine._observe_block, os.getpid(), []
+
+    def spoiled(engine, states):
+        assert os.getpid() != parent, "a block was evaluated in the parent"
+        calls.append(len(states))
+        spoil(len(calls))
+        return observe_block(engine, states)
+
+    monkeypatch.setattr(DiagnosticsEngine, "_observe_block", spoiled)
+
+
+# a decay run inside the region, too short to pass its gate
+IN_REGION_DECAY_TEXT = OUT_OF_REGION_DECAY_TEXT.replace("-0.020833333333333332", "-1.0")
+
+
+class TestDiagnosticsWorker:
+    """The CLI evaluates a run's diagnostics in one forked worker where it
+    can (os.fork, more than one CPU), else in process; both write the same
+    bytes, and every failure on either side ends the run loudly with the
+    worker reaped."""
+
+    def _run(self, tmp_path, capsys, tag, text, report):
+        out = tmp_path / tag
+        codes = [main(["run", _write_cfg(tmp_path, text, name=f"{tag}.ini", out=out)])]
+        if report:
+            codes.append(main(["report", str(out)]))
+        return codes, capsys.readouterr(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("text, codes, report", [
+        (IDENTITY_TEXT, [0], False),
+        (SCHEDULED_FROM_ZERO_TEXT, [3], False),
+        (IN_REGION_DECAY_TEXT, [3, 3], True),
+        (OUT_OF_REGION_DECAY_TEXT, [0, 0], True),
+    ], ids=["identity-fixed", "bump-schedule", "decay", "decay-out-of-region"])
+    def test_worker_and_in_process_write_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                        worker_forks, text, codes, report):
+        forked = self._run(tmp_path, capsys, "forked", text, report)
+        assert len(worker_forks) == 1
+        monkeypatch.delattr(os, "fork")
+        in_process = self._run(tmp_path, capsys, "in-process", text, report)
+        assert forked[0] == in_process[0] == codes
+        assert forked[1].out == in_process[1].out and forked[1].err == in_process[1].err == ""
+        assert forked[2] == in_process[2]
+        assert {"diagnostics.csv", "summary.json", "initial_state.csv",
+                "final_state.csv"} <= set(forked[2])
+
+    def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        out = tmp_path / "run"
+        assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 0
+        assert (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("text", [IDENTITY_TEXT, SCHEDULED_FROM_ZERO_TEXT],
+                             ids=["at-the-table", "mid-run"])
+    def test_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch, worker_forks, text):
+        # blocks of 16 snapshots at N = 128: IDENTITY_TEXT's second block is
+        # its last (evaluated for the table), the scheduled suite's is mid-run
+        def spoil(n):
+            if n == 2:
+                raise ValueError("spoiled second block")
+
+        _spoil_worker_blocks(monkeypatch, spoil)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="spoiled second block") as info:
+            main(["run", _write_cfg(tmp_path, text, out=out)])
+        assert len(worker_forks) == 1
+        # the worker's traceback is attached as the cause
+        assert isinstance(info.value.__cause__, cli._WorkerTraceback)
+        assert "in spoil" in str(info.value.__cause__)
+        assert (out / "initial_state.csv").exists()
+        assert not (out / "diagnostics.csv").exists() and not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("die, words", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(5), "exited with status 5"),
+    ], ids=["sigkill", "exit-5"])
+    def test_worker_that_dies_aborts_the_run(self, tmp_path, capsys, monkeypatch, worker_forks,
+                                             die, words):
+        _spoil_worker_blocks(monkeypatch, lambda n: die())
+        out = tmp_path / "run"
+        assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 2
+        err = capsys.readouterr().err
+        assert "run aborted (diagnostics-worker)" in err and words in err
+        assert not (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        # the CFL limit is 0.98 here
+        (IDENTITY_TEXT.replace("dt = 0.001", "dt = 1.2").replace("t_end = 0.06", "t_end = 2.4"), "cfl"),
+        (IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = 0.99\n\n[diagnostics]"), "blowup"),
+    ], ids=["cfl", "blowup"])
+    def test_an_aborted_run_reaps_the_worker(self, tmp_path, capsys, worker_forks, text, reason):
+        assert main(["run", _write_cfg(tmp_path, text, out=tmp_path / "run")]) == 2
+        assert f"run aborted ({reason})" in capsys.readouterr().err
+        assert len(worker_forks) == 1
+
+    def test_an_interrupted_run_reaps_the_worker(self, tmp_path, monkeypatch, worker_forks):
+        step, steps = solver._Kernel.step, []
+
+        def interrupted(kernel, *args):
+            steps.append(1)
+            if len(steps) == 10:
+                raise KeyboardInterrupt
+            return step(kernel, *args)
+
+        monkeypatch.setattr(solver._Kernel, "step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")])
+        assert len(worker_forks) == 1
 
 
 def _fmt_float_csv(header, rows) -> bytes:

@@ -13,6 +13,8 @@ import pytest
 from abcdsim.cli import main as cli_main
 from test_cli import check_residual_maxima_against_csv
 
+pytestmark = pytest.mark.usefixtures("no_child_left")
+
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
