@@ -11,10 +11,11 @@ in one forked worker process when `os.fork` exists and the process may
 run on more than one CPU: the parent steps and pipes each snapshot to
 it, the worker feeds the same `DiagnosticsEngine` and pipes back its
 table, so the diagnostics of one snapshot overlap the steps to the next
-and every artifact keeps its bytes.  Otherwise, as in library use, the
-engine runs in process.  A worker exception is raised again in the
-parent; a worker that dies without a result aborts the run (exit 2,
-reason "diagnostics-worker"); no run leaves a child process behind.
+and every artifact keeps its bytes.  Otherwise, or when the fork fails,
+the engine runs in process, as in library use.  A worker exception is
+raised again in the parent; a worker that dies without a result aborts
+the run (exit 2, reason "diagnostics-worker"); no run leaves a child
+process behind.
 """
 
 from __future__ import annotations
@@ -195,15 +196,6 @@ class _WorkerTraceback(Exception):
     the cause of that exception when it is raised again in the parent."""
 
 
-def _worker_usable() -> bool:
-    """Fork a diagnostics worker only where it can run beside the stepping:
-    with os.fork, on more than one CPU this process may use."""
-    if not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
-
-
 class _EngineWorker:
     """A DiagnosticsEngine fed in a forked child process.
 
@@ -216,9 +208,16 @@ class _EngineWorker:
     """
 
     def __init__(self, engine: DiagnosticsEngine, grid):
-        snap_r, snap_w = os.pipe()
-        back_r, back_w = os.pipe()
-        self.pid = os.fork()
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        snap_r, snap_w, back_r, back_w = fds
         if self.pid == 0:
             status = 1  # no reply sent
             try:
@@ -281,6 +280,21 @@ class _EngineWorker:
             self.pid = None
 
 
+def _start_worker(engine: DiagnosticsEngine, grid) -> _EngineWorker | None:
+    """A diagnostics worker where one can run beside the stepping: with
+    os.fork, on more than one CPU this process may use, and a pipe and a
+    process to spare.  None otherwise, and the engine runs in process."""
+    if not hasattr(os, "fork"):
+        return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        return None
+    try:
+        return _EngineWorker(engine, grid)
+    except OSError:  # EMFILE from os.pipe, EAGAIN or ENOMEM from os.fork
+        return None
+
+
 def _execute(cfg: ExperimentConfig, outdir: str):
     """Run cfg, writing its artifacts under outdir; returns the columns of
     diagnostics.csv (name -> array, one value per snapshot) and the RunResult."""
@@ -293,7 +307,7 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         weight_mode=d.weight_mode,
         fixed_lambda=d.fixed_lambda if d.weight_mode == "fixed" else None,
     )
-    worker = _EngineWorker(engine, sim.grid) if _worker_usable() else None
+    worker = _start_worker(engine, sim.grid)
     feed = worker.send if worker else engine
 
     first = True

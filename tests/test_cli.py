@@ -367,6 +367,27 @@ class TestDiagnosticsWorker:
         assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 0
         assert (out / "diagnostics.csv").exists()
 
+    def test_a_failed_fork_runs_in_process(self, tmp_path, capsys, monkeypatch, worker_forks):
+        forked = self._run(tmp_path, capsys, "forked", IDENTITY_TEXT, False)
+        assert len(worker_forks) == 1
+
+        def failed_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failed_fork)
+        # the lowest free descriptors: the same pair after the run if it
+        # closed both of its pipes
+        free = os.pipe()
+        for fd in free:
+            os.close(fd)
+        in_process = self._run(tmp_path, capsys, "in-process", IDENTITY_TEXT, False)
+        after = os.pipe()
+        for fd in after:
+            os.close(fd)
+        assert after == free
+        assert forked[0] == in_process[0] == [0]
+        assert forked[1].out == in_process[1].out and forked[2] == in_process[2]
+
     @pytest.mark.parametrize("text", [IDENTITY_TEXT, SCHEDULED_FROM_ZERO_TEXT],
                              ids=["at-the-table", "mid-run"])
     def test_worker_exception_reaches_the_caller(self, tmp_path, monkeypatch, worker_forks, text):
