@@ -8,6 +8,9 @@ grouped decomposition versus the raw rate laws, and the quadratic form
 in physical versus canonical variables); the engine records the
 disagreement of each pair.
 
+A static window (dlam = 0) has no dt rows (see `_weight_rows`), so its
+moving-window integrals are 0, as the bottom integrals are over a flat bottom.
+
 Conventions used throughout: T is the Helmholtz inverse (1 - dxx)^-1,
 f = T u and g = T eta are the canonical variables, and w1 denotes the
 bottom forcing (-1 + a1 dxx) dt h = a1 * dt_dxx_h - dt_h.
@@ -44,7 +47,6 @@ __all__ = [
     "quadratic_form_fg",
     "quadratic_form_scale",
     "canonical_identity_residuals",
-    "nh_bound_parts",
     "local_energy",
     "local_energy_rate_terms",
     "local_energy_rate_rhs",
@@ -183,13 +185,17 @@ def _window(g: Grid, lam) -> dict:
 
 def _weight_rows(g: Grid, w) -> dict:
     """The rows the integrals read from a WeightSet: its fields, `_window` and
-    |d3phi|.  Of a list of sets, each row stacked over the list."""
-    if isinstance(w, list):
-        each = [_weight_rows(g, v) for v in w]
-        return each[0] if len(each) == 1 else {k: np.array([r[k] for r in each]) for k in each[0]}
-    g.check(w.phi)
-    return {**{f.name: getattr(w, f.name) for f in dataclass_fields(w)},
-            **_window(g, w.lam), "abs_d3phi": np.abs(w.d3phi)}
+    |d3phi|.  Of a list of sets, each row stacked over the list.  A static
+    window (dlam = 0 in every set) has no dt rows: they are None."""
+    each = []
+    for v in w if isinstance(w, list) else [w]:
+        g.check(v.phi)
+        each.append({**{f.name: getattr(v, f.name) for f in dataclass_fields(v)},
+                     **_window(g, v.lam), "abs_d3phi": np.abs(v.d3phi)})
+    rows = each[0] if len(each) == 1 else {k: np.array([r[k] for r in each]) for k in each[0]}
+    if not np.any(rows["dlam"]):
+        rows.update(dict.fromkeys(("dt_phi", "dt_dphi", "dt_psi")))
+    return rows
 
 
 def _zero_samples(g: Grid) -> BathymetrySamples:
@@ -256,14 +262,12 @@ def virial_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
 
 def moving_weight_I(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi)(u eta + dx u dx eta)."""
-    sp = _snapof(s, snap, ladder=False, w=w)
-    return sp("dt_phi", "momentum") if np.count_nonzero(sp.dlam) else 0.0
+    return _snapof(s, snap, ladder=False, w=w)("dt_phi", "momentum")
 
 
 def moving_weight_J(s: State, w: WeightSet, snap: _Snap | None = None) -> float:
     """Correction from the moving window: int (dt phi') eta dx u."""
-    sp = _snapof(s, snap, ladder=False, w=w)
-    return sp("dt_dphi", "eta", "du") if np.count_nonzero(sp.dlam) else 0.0
+    return _snapof(s, snap, ladder=False, w=w)("dt_dphi", "eta", "du")
 
 
 def virial_rate_I_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
@@ -324,8 +328,14 @@ def virial_rate_J_rhs(s, bs, p, w, snap=None) -> float:
 
 # -- decomposition of the mixed virial rate ------------------------------
 
-def _grouped_virial_rate(p, alpha, gi: _Snap) -> dict:
-    """Q, SQ, NQ and NH of virial_rate_decomposition, without the moving-window parts."""
+def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
+                              alpha: float, w: WeightSet,
+                              snap: _Snap | None = None) -> dict:
+    """Regrouped rate of I + alpha J: leading quadratic part Q, small
+    linear part SQ, nonlinear part NQ, bottom part NH, plus the moving
+    window corrections.  Q + SQ + NQ + NH equals the I rate plus alpha
+    times the J rate identically."""
+    gi = _snapof(s, snap, bs, p, w=w)
     a, c = p.a, p.c
 
     q = (
@@ -354,22 +364,8 @@ def _grouped_virial_rate(p, alpha, gi: _Snap) -> dict:
         + p.c1 * gi("phi", "eta", "dtt_dx_h")
         + gi("phi", "u", "w1")
     )
-    return {"Q": q, "SQ": sq, "NQ": nq, "NH": nh}
-
-
-def virial_rate_decomposition(s: State, bs: BathymetrySamples, p: AbcdParams,
-                              alpha: float, w: WeightSet,
-                              snap: _Snap | None = None) -> dict:
-    """Regrouped rate of I + alpha J: leading quadratic part Q, small
-    linear part SQ, nonlinear part NQ, bottom part NH, plus the moving
-    window corrections.  Q + SQ + NQ + NH equals the I rate plus alpha
-    times the J rate identically."""
-    sp = _snapof(s, snap, bs, p, w=w)
-    return {
-        **_grouped_virial_rate(p, alpha, sp),
-        "movingI": moving_weight_I(s, w, sp),
-        "movingJ": alpha * moving_weight_J(s, w, sp),
-    }
+    return {"Q": q, "SQ": sq, "NQ": nq, "NH": nh,
+            "movingI": moving_weight_I(s, w, gi), "movingJ": alpha * moving_weight_J(s, w, gi)}
 
 
 # (coefficient, field) pairs of the canonical quadratic form: the phi' weighted
@@ -413,34 +409,6 @@ def canonical_identity_residuals(s: State, w: WeightSet, snap: _Snap | None = No
     return abs(lhs1 - rhs1) / np.maximum(1.0, abs(lhs1)), abs(lhs2 - rhs2) / np.maximum(1.0, abs(lhs2))
 
 
-def nh_bound_parts(s: State, bs: BathymetrySamples, w: WeightSet, t: float,
-                   delta: float = 0.1, snap: _Snap | None = None) -> tuple:
-    """Pieces of the computable NH upper bound.
-
-    Returns (quad_delta, u2_weight, h_units):
-        quad_delta = 4 delta int phi'(u^2 + (dx u)^2 + eta^2 + (dx eta)^2)
-        u2_weight  = int phi' u^2            (multiplies C * eps)
-        h_units    = the bottom-norm and t^{-3/2} unit terms (multiply C)
-    so that bound(C, eps) = quad_delta + C * (eps * u2_weight + h_units).
-    """
-    gi = _snapof(s, snap, w=w)
-    g = s.grid
-    x0 = gi("dphi", "u", "u")
-    quad = 4.0 * delta * (
-        x0 + gi("dphi", "du", "du") + gi("dphi", "eta", "eta") + gi("dphi", "deta", "deta")
-    )
-    n_dth = g.l2_norm(bs.dt_h)
-    n_dtdxh = g.l2_norm(bs.dt_dx_h)
-    n_dtth = g.l2_norm(bs.dtt_h)
-    h_units = (
-        n_dth**2 + n_dtdxh**2 + n_dtth**2
-        + float(np.max(np.abs(bs.dx_h)))
-        + n_dtth + n_dtdxh
-        + t ** (-1.5)
-    )
-    return float(quad), float(x0), float(h_units)
-
-
 # -- localized energy ----------------------------------------------------
 
 def local_energy(s: State, bs: BathymetrySamples, p: AbcdParams, w: WeightSet,
@@ -463,7 +431,7 @@ def local_energy_rate_terms(s: State, bs: BathymetrySamples, p: AbcdParams, w: W
         + a * c * gi("dpsi", "cf3", "cg3")
     )
 
-    snl0 = 0.5 * gi("dt_psi", "energy") if np.count_nonzero(gi.dlam) else 0.0
+    snl0 = 0.5 * gi("dt_psi", "energy")
 
     # T_ueh = T(u (eta + h)); the last two lines hold dx(psi' dx u) and dx(psi' dx eta)
     snl1 = (
@@ -677,7 +645,7 @@ class DiagnosticsEngine:
             terms_i = virial_rate_I_terms(states, bs, p, w, sp)
             terms_j = virial_rate_J_terms(states, bs, p, w, sp)
             rate_i, rate_j = sum(terms_i.values()), sum(terms_j.values())
-            dec = _grouped_virial_rate(p, alpha, sp)
+            dec = virial_rate_decomposition(states, bs, p, alpha, w, sp)
             grouped, direct = dec["Q"] + dec["SQ"] + dec["NQ"] + dec["NH"], rate_i + alpha * rate_j
             term_scale = sum(abs(v) for v in terms_i.values()) + sum(
                 abs(alpha * v) for v in terms_j.values())

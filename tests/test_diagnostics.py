@@ -35,7 +35,6 @@ from abcdsim.diagnostics import (
     momentum,
     moving_weight_I,
     moving_weight_J,
-    nh_bound_parts,
     quadratic_form_fg,
     quadratic_form_scale,
     virial_I,
@@ -252,24 +251,6 @@ class TestVirialDecomposition:
             s = _state(grid40, seed=seed, eps=0.05)
             vals.append(quadratic_form_fg(s, qc, w))
         assert min(vals) > 0.0
-
-
-class TestNhBoundParts:
-    def test_flat_units_reduce_to_time_tail(self, grid40):
-        s = _state(grid40, seed=3)
-        w = weight_set(grid40, 10.0)
-        quad, x0, units = nh_bound_parts(s, _flat(grid40), w, t=25.0)
-        assert units == 25.0 ** (-1.5)
-        npt.assert_allclose(x0, grid40.integrate(w.dphi * s.u**2), rtol=1e-14)
-        quad2, _, _ = nh_bound_parts(s, _flat(grid40), w, t=25.0, delta=0.2)
-        npt.assert_allclose(quad2, 2.0 * quad, rtol=1e-14)
-
-    def test_bump_units_exceed_time_tail(self, grid40):
-        s = _state(grid40, seed=3)
-        w = weight_set(grid40, 10.0)
-        b = decaying_bump(1e-2, width=2.0)
-        _, _, units = nh_bound_parts(s, b.sample(grid40, 0.0), w, t=25.0)
-        assert units > 25.0 ** (-1.5)
 
 
 class TestFdStencil:
