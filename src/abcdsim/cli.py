@@ -8,14 +8,16 @@ nothing timestamp-like is emitted.
 
 A run that writes diagnostics (identity suite, decay run) evaluates them
 in one forked worker process when `os.fork` exists and the process may
-run on more than one CPU: the parent steps and pipes each snapshot to
-it, the worker feeds the same `DiagnosticsEngine` and pipes back its
-table, so the diagnostics of one snapshot overlap the steps to the next
-and every artifact keeps its bytes.  Otherwise, or when the fork fails,
-the engine runs in process, as in library use.  A worker exception is
-raised again in the parent; a worker that dies without a result aborts
-the run (exit 2, reason "diagnostics-worker"); no run leaves a child
-process behind.
+run on more than one CPU: the parent steps and writes each snapshot to a
+pipe as one raw frame (its kind and t, then the stacked rfft
+coefficients; the initial frame the fields too), the worker rebuilds the
+State as `run` does, feeds the same `DiagnosticsEngine` and pipes back
+its table, so the diagnostics of one snapshot overlap the steps to the
+next and every artifact keeps its bytes.  A frame cut short ends the
+worker with EOFError.  Otherwise, or when the fork fails, the engine
+runs in process, as in library use.  A worker exception is raised again
+in the parent; a worker that dies without a result aborts the run (exit
+2, reason "diagnostics-worker"); no run leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .config import (
     resolve_output_dir,
 )
 from .diagnostics import DiagnosticsEngine
-from .solver import SimulationAbort, State, _carrying, run
+from .solver import SimulationAbort, State, _carrying, _state, run
 
 __all__ = ["main"]
 
@@ -196,15 +198,38 @@ class _WorkerTraceback(Exception):
     the cause of that exception when it is raised again in the parent."""
 
 
+# the kind in the header of a frame of the snapshot stream (see _EngineWorker)
+FRAME_END, FRAME_INITIAL, FRAME_STEPPED = 0.0, 1.0, 2.0
+
+
+def _read_exactly(src, a: np.ndarray) -> None:
+    """Fill a from src; EOFError if the stream ends first."""
+    if src.readinto(a) != a.nbytes:
+        raise EOFError("the snapshot stream ended inside a frame")
+
+
 class _EngineWorker:
     """A DiagnosticsEngine fed in a forked child process.
 
-    `send` pipes a snapshot, or None to end the run, to the child, which
-    rebuilds the State on the grid it inherited and calls the engine;
-    `table` reads back `engine.table()`; `close` closes both pipes and
-    reaps the child, whatever happened.  The child writes no file and
-    leaves only through os._exit, so it never flushes the parent's stdio
-    buffers nor runs its atexit hooks.
+    `send` writes each snapshot to the child as one raw frame, with no
+    pickle: a header of two float64, the frame kind and t, then the
+    stacked rfft coefficients (u_hat, eta_hat), (2, N/2 + 1) complex128,
+    in one write from a buffer of fixed size.  The child knows N from the
+    grid it inherited, so it reads each frame into arrays of known size,
+    and it rebuilds each State with `solver._state`, as `run` does: its
+    eta and u are bitwise the parent's.  The initial frame also carries
+    the fields (u, eta), (2, N) float64, since the initial State holds
+    the caller's fields and irfft(rfft(u0)) is not bitwise u0.
+    `send(None)` writes the end frame, a header alone, so the parent does
+    not wait for the child to finish its last snapshot.  A short read (the
+    parent gone) ends the child with EOFError, which it returns in place
+    of the table.
+
+    `table` reads back `engine.table()`, pickled once with any exception
+    the child raised; `close` closes both pipes and reaps the child,
+    whatever happened.  The child writes no file and leaves only through
+    os._exit, so it never flushes the parent's stdio buffers nor runs its
+    atexit hooks.
     """
 
     def __init__(self, engine: DiagnosticsEngine, grid):
@@ -231,23 +256,48 @@ class _EngineWorker:
         os.close(back_w)
         self._to = open(snap_w, "wb")
         self._from = open(back_r, "rb")
+        # one buffer, written whole: the header (kind, t), then the coefficients
+        self._frame = np.empty(2 + 4 * (grid.N // 2 + 1))
+        self._head, self._coeffs = self._frame[:2], self._frame[2:].view(complex).reshape(2, -1)
+        self._kind = FRAME_INITIAL
 
     @staticmethod
     def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int) -> None:
         with open(snap_r, "rb") as src, open(back_w, "wb") as dst:
             try:
-                while (item := pickle.load(src)) is not None:
-                    t, eta, u, coeffs = item
-                    engine(_carrying(State(grid, eta, u, t), coeffs))
+                head = np.empty(2)
+                while True:
+                    _read_exactly(src, head)
+                    kind, t = head[0], float(head[1])
+                    if kind == FRAME_END:
+                        break
+                    y = np.empty((2, grid.N // 2 + 1), complex)  # fresh: the engine keeps a block of States
+                    _read_exactly(src, y)
+                    if kind == FRAME_INITIAL:
+                        fields = np.empty((2, grid.N))
+                        _read_exactly(src, fields)
+                        engine(_carrying(State(grid, fields[1], fields[0], t), y))
+                    else:
+                        engine(_state(grid, y, t))
                 reply = (engine.table(), None, None)
             except Exception as exc:
                 reply = (None, exc, traceback.format_exc())
             pickle.dump(reply, dst, pickle.HIGHEST_PROTOCOL)
 
     def send(self, state: State | None) -> None:
-        item = None if state is None else (state.t, state.eta, state.u, state.coeffs)
+        if state is None:  # a header alone, which fits in the pipe while the child works
+            self._head[0] = FRAME_END
+            parts = [self._head]
+        else:
+            self._head[:] = self._kind, state.t
+            self._coeffs[...] = state.coeffs
+            parts = [self._frame]
+            if self._kind == FRAME_INITIAL:
+                parts.append(np.stack((state.u, state.eta)))
+                self._kind = FRAME_STEPPED
         try:
-            pickle.dump(item, self._to, pickle.HIGHEST_PROTOCOL)
+            for part in parts:
+                self._to.write(part)
             self._to.flush()
         except BrokenPipeError:  # the child has ended: say why
             self.table()

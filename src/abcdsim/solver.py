@@ -72,8 +72,10 @@ class NonFinite(SimulationAbort):
 class State:
     """Surface displacement eta and velocity u on a grid at time t.
 
-    eta and u are read-only copies, and rebinding either drops the
-    cached coefficients, so `coeffs` always describes the fields.
+    eta and u are read-only: the constructor and a rebinding copy the
+    arrays given (a snapshot of `run` binds its fresh fields as they are),
+    and rebinding either drops the cached coefficients, so `coeffs`
+    always describes the fields.
     """
 
     grid: Grid
@@ -125,9 +127,17 @@ def state_h1_norm(s: State) -> float:
 
 
 def _state(g: Grid, y, t: float) -> State:
-    """Physical state at time t carrying the stacked coefficients (u_hat, eta_hat)."""
-    u, eta = g.from_hat(y)
-    return _carrying(State(g, eta, u, t), y)
+    """Physical state at time t carrying the stacked coefficients (u_hat, eta_hat).
+
+    The fields are the rows of the fresh inverse transform of y, frozen and
+    bound as they are: no copy, no `Grid.check`.  Both are views of one
+    (2, N) array, `State.u.base`.
+    """
+    fields = g.from_hat(y)
+    fields.flags.writeable = False
+    s = State.__new__(State)
+    s.__dict__.update(grid=g, eta=fields[1], u=fields[0], t=t)
+    return _carrying(s, y)
 
 
 def _bottom_forcing(g: Grid, p: AbcdParams, spectra):
@@ -373,7 +383,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
         y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, clock)
         if n in snapshots:
             s = _state(g, y, cfg.t_start + n * cfg.dt)
-            if not (np.all(np.isfinite(s.eta)) and np.all(np.isfinite(s.u))):
+            if not np.isfinite(s.u.base).all():  # u and eta: the rows of one array
                 raise NonFinite(f"non-finite field values at t={s.t}")
             if norm0 > 0.0:
                 norm = float(_h1_norm(g, y))

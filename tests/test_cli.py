@@ -4,9 +4,11 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -326,6 +328,13 @@ def _spoil_worker_blocks(monkeypatch, spoil):
 IN_REGION_DECAY_TEXT = OUT_OF_REGION_DECAY_TEXT.replace("-0.020833333333333332", "-1.0")
 
 
+# IDENTITY_TEXT at N = 4096 for 10 steps, 6 snapshots: each frame of the
+# snapshot stream (65 584 bytes) is larger than a 64 KiB pipe, so every
+# read of the worker is split
+FRAMES_OVER_THE_PIPE_TEXT = (IDENTITY_TEXT.replace("n = 128", "n = 4096")
+                             .replace("t_end = 0.06", "t_end = 0.01"))
+
+
 class TestDiagnosticsWorker:
     """The CLI evaluates a run's diagnostics in one forked worker where it
     can (os.fork, more than one CPU), else in process; both write the same
@@ -344,7 +353,8 @@ class TestDiagnosticsWorker:
         (SCHEDULED_FROM_ZERO_TEXT, [3], False),
         (IN_REGION_DECAY_TEXT, [3, 3], True),
         (OUT_OF_REGION_DECAY_TEXT, [0, 0], True),
-    ], ids=["identity-fixed", "bump-schedule", "decay", "decay-out-of-region"])
+        (FRAMES_OVER_THE_PIPE_TEXT, [0], False),
+    ], ids=["identity-fixed", "bump-schedule", "decay", "decay-out-of-region", "frames-over-the-pipe"])
     def test_worker_and_in_process_write_the_same_bytes(self, tmp_path, capsys, monkeypatch,
                                                         worker_forks, text, codes, report):
         forked = self._run(tmp_path, capsys, "forked", text, report)
@@ -356,6 +366,24 @@ class TestDiagnosticsWorker:
         assert forked[2] == in_process[2]
         assert {"diagnostics.csv", "summary.json", "initial_state.csv",
                 "final_state.csv"} <= set(forked[2])
+
+    def test_a_truncated_frame_ends_the_worker_with_eof(self, tmp_path):
+        sim = build_sim_config(parse_config(_write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")))
+        engine = DiagnosticsEngine(sim.params, sim.bathymetry)
+        coeffs = sim.grid._rfft(np.stack((sim.u0, sim.eta0))).tobytes()
+        snap_r, snap_w = os.pipe()
+        back_r, back_w = os.pipe()
+        with open(snap_w, "wb") as fh:  # the header and half the coefficient block
+            fh.write(np.array([cli.FRAME_STEPPED, 0.5]).tobytes() + coeffs[: len(coeffs) // 2])
+        serve = threading.Thread(target=cli._EngineWorker._serve,
+                                 args=(engine, sim.grid, snap_r, back_w), daemon=True)
+        serve.start()
+        serve.join(timeout=10.0)
+        assert not serve.is_alive(), "the worker hangs on a truncated frame"
+        with open(back_r, "rb") as fh:
+            table, exc, text = pickle.load(fh)
+        assert table is None and isinstance(exc, EOFError)
+        assert "EOFError" in text
 
     def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
         def no_fork():

@@ -554,11 +554,11 @@ class TestWorkspaceAliasing:
 
 
 class TestStateCoefficients:
-    def _snapshots(self, grid):
+    def _snapshots(self, grid, bottom=None):
         p = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
         eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
         seen = []
-        res = run(SimConfig(params=p, bathymetry=decaying_bump(1e-3, width=1.0), grid=grid,
+        res = run(SimConfig(params=p, bathymetry=bottom or decaying_bump(1e-3, width=1.0), grid=grid,
                             eta0=eta0, u0=u0, dt=1e-2, t_end=0.1, snapshot_every=2),
                   observer=seen.append)
         return seen, res
@@ -572,6 +572,21 @@ class TestStateCoefficients:
         for s, y in zip(seen, carried):
             want = np.fft.rfft(np.stack((s.u, s.eta)))
             assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bottom", [flat_bottom(), decaying_bump(1e-3, width=1.0)],
+                             ids=["flat", "bump"])
+    def test_stepped_fields_are_the_inverse_transform_of_the_coefficients(self, grid, bottom):
+        # what the CLI's diagnostics worker relies on: it receives only the
+        # coefficients of a stepped snapshot and rebuilds the same fields
+        seen, res = self._snapshots(grid, bottom)
+        assert res.final_state is seen[-1] and len(seen) == 6
+        for s in seen[1:]:  # the first holds the caller's fields, not irfft(rfft(u0))
+            u, eta = grid.from_hat(s.coeffs)
+            assert np.array_equal(s.u, u) and np.array_equal(s.eta, eta)
+        for s in seen:
+            assert not (s.eta.flags.writeable or s.u.flags.writeable or s.coeffs.flags.writeable)
+        self._check_copy(seen[-1])
+        self._check_rebinding(seen[-1])
 
     def test_writing_into_a_state_raises(self, grid):
         eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
@@ -591,19 +606,26 @@ class TestStateCoefficients:
         npt.assert_array_equal(s.coeffs, before)
         assert np.any(s.eta != 0.0)
 
-    def test_rebinding_a_field_drops_the_coefficients(self, grid):
-        seen, _ = self._snapshots(grid)
-        s = seen[-1]
+    @staticmethod
+    def _check_rebinding(s):
         s.eta = 2.0 * s.eta
+        assert s.eta.flags.writeable is False
         want = np.stack((np.fft.rfft(s.u), np.fft.rfft(s.eta)))
         npt.assert_allclose(s.coeffs, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
-    def test_copy_carries_the_coefficients(self, grid):
+    def test_rebinding_a_field_drops_the_coefficients(self, grid):
         seen, _ = self._snapshots(grid)
-        s = seen[-1]
+        self._check_rebinding(seen[-1])
+
+    @staticmethod
+    def _check_copy(s):
         c = s.copy()
         assert c.coeffs is s.coeffs
         assert c.eta is not s.eta and c.u is not s.u
         npt.assert_array_equal(c.eta, s.eta)
         npt.assert_array_equal(c.u, s.u)
         assert c.t == s.t
+
+    def test_copy_carries_the_coefficients(self, grid):
+        seen, _ = self._snapshots(grid)
+        self._check_copy(seen[-1])
