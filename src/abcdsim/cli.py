@@ -13,11 +13,17 @@ pipe as one raw frame (its kind and t, then the stacked rfft
 coefficients; the initial frame the fields too), the worker rebuilds the
 State as `run` does, feeds the same `DiagnosticsEngine` and pipes back
 its table, so the diagnostics of one snapshot overlap the steps to the
-next and every artifact keeps its bytes.  A frame cut short ends the
-worker with EOFError.  Otherwise, or when the fork fails, the engine
-runs in process, as in library use.  A worker exception is raised again
-in the parent; a worker that dies without a result aborts the run (exit
-2, reason "diagnostics-worker"); no run leaves a child process behind.
+next and every artifact keeps its bytes.  Right after the fork the
+parent pins the worker to the highest-numbered CPU of its affinity mask
+and itself to the rest, and puts its mask back once the worker is
+reaped: left to the scheduler, the woken worker often shared the
+parent's CPU and its blocks stalled the stepping once a block.  Pinning
+is best effort: where it is missing or refused the run goes on
+unpinned.  A frame cut short ends the worker with EOFError.  Otherwise,
+or when the fork fails, the engine runs in process, as in library use.
+A worker exception is raised again in the parent; a worker that dies
+without a result aborts the run (exit 2, reason "diagnostics-worker");
+no run leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -230,9 +236,21 @@ class _EngineWorker:
     whatever happened.  The child writes no file and leaves only through
     os._exit, so it never flushes the parent's stdio buffers nor runs its
     atexit hooks.
+
+    Right after the fork the parent pins the child to the highest CPU of
+    `allowed` (the mask the parent read from `os.sched_getaffinity(0)`)
+    and its own thread to the rest, so the two never share a CPU.
+    Unpinned, the scheduler often woke the child on the parent's CPU,
+    where its block of diagnostics (about 2 ms at N = 512) ran instead
+    of the stepping: the parent's `send` stalled once a block, 36-48 of
+    the 202 sends of an N = 512 identity suite for 55-120 ms a run.
+    Pinning is best effort and never decides whether the child runs:
+    without `os.sched_setaffinity`, or when it raises OSError (EINVAL,
+    ESRCH, a cpuset that forbids it), both run unpinned.  `close` puts
+    the parent's mask back after reaping the child, on every exit path.
     """
 
-    def __init__(self, engine: DiagnosticsEngine, grid):
+    def __init__(self, engine: DiagnosticsEngine, grid, allowed: set | None):
         fds = []
         try:
             fds += os.pipe()
@@ -260,6 +278,20 @@ class _EngineWorker:
         self._frame = np.empty(2 + 4 * (grid.N // 2 + 1))
         self._head, self._coeffs = self._frame[:2], self._frame[2:].view(complex).reshape(2, -1)
         self._kind = FRAME_INITIAL
+        self._mask = self._pin(allowed)
+
+    def _pin(self, allowed: set | None) -> set | None:
+        """Pin the child to max(allowed) and this thread to the rest, best
+        effort; the mask for `close` to put back, None if it is unchanged."""
+        if allowed is None or not hasattr(os, "sched_setaffinity"):
+            return None
+        cpu = max(allowed)
+        try:
+            os.sched_setaffinity(self.pid, {cpu})
+            os.sched_setaffinity(0, allowed - {cpu})
+        except OSError:  # EINVAL, ESRCH, a cpuset that forbids it: run unpinned
+            return None
+        return allowed
 
     @staticmethod
     def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int) -> None:
@@ -328,6 +360,12 @@ class _EngineWorker:
         if self.pid is not None:
             os.waitpid(self.pid, 0)
             self.pid = None
+        if self._mask is not None:
+            try:
+                os.sched_setaffinity(0, self._mask)
+            except OSError:  # the cpuset changed under the run: leave the mask as it is
+                pass
+            self._mask = None
 
 
 def _start_worker(engine: DiagnosticsEngine, grid) -> _EngineWorker | None:
@@ -336,11 +374,12 @@ def _start_worker(engine: DiagnosticsEngine, grid) -> _EngineWorker | None:
     process to spare.  None otherwise, and the engine runs in process."""
     if not hasattr(os, "fork"):
         return None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    cpus = len(allowed) if allowed is not None else os.cpu_count()
     if (cpus or 1) < 2:
         return None
     try:
-        return _EngineWorker(engine, grid)
+        return _EngineWorker(engine, grid, allowed)
     except OSError:  # EMFILE from os.pipe, EAGAIN or ENOMEM from os.fork
         return None
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small grids."""
 
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -295,20 +297,25 @@ class TestIdentitySuite:
 @pytest.fixture
 def worker_forks(monkeypatch):
     """Run the CLI's diagnostics in the forked worker, whatever the CPU
-    count; the pids of the workers forked so far."""
+    count, on the CPUs {0, 1}; `.pids` of the workers forked so far and
+    `.pins`, the (pid, mask) of every `os.sched_setaffinity` call, which
+    is recorded and not made (this process may have more CPUs than two)."""
     if not hasattr(os, "fork"):
         pytest.skip("the diagnostics worker needs os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    fork, pids = os.fork, []
+    forks = types.SimpleNamespace(pids=[], pins=[])
+    fork = os.fork
 
     def counted():
         pid = fork()
         if pid:
-            pids.append(pid)
+            forks.pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
-    return pids
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: forks.pins.append((pid, set(mask))),
+                        raising=False)
+    return forks
 
 
 def _spoil_worker_blocks(monkeypatch, spoil):
@@ -323,6 +330,37 @@ def _spoil_worker_blocks(monkeypatch, spoil):
 
     monkeypatch.setattr(DiagnosticsEngine, "_observe_block", spoiled)
 
+
+def _interrupt_stepping(monkeypatch):
+    """Raise KeyboardInterrupt at the 10th RK4 step."""
+    step, steps = solver._Kernel.step, []
+
+    def interrupted(kernel, *args):
+        steps.append(1)
+        if len(steps) == 10:
+            raise KeyboardInterrupt
+        return step(kernel, *args)
+
+    monkeypatch.setattr(solver._Kernel, "step", interrupted)
+
+
+def _kill_worker_at_second_block(monkeypatch):
+    def spoil(n):
+        if n == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _spoil_worker_blocks(monkeypatch, spoil)
+
+
+def _raise_in_worker(monkeypatch):
+    def spoil(n):
+        raise ValueError("spoiled block")
+
+    _spoil_worker_blocks(monkeypatch, spoil)
+
+
+# the CFL limit is 0.98 here
+CFL_ABORT_TEXT = IDENTITY_TEXT.replace("dt = 0.001", "dt = 1.2").replace("t_end = 0.06", "t_end = 2.4")
 
 # a decay run inside the region, too short to pass its gate
 IN_REGION_DECAY_TEXT = OUT_OF_REGION_DECAY_TEXT.replace("-0.020833333333333332", "-1.0")
@@ -358,7 +396,7 @@ class TestDiagnosticsWorker:
     def test_worker_and_in_process_write_the_same_bytes(self, tmp_path, capsys, monkeypatch,
                                                         worker_forks, text, codes, report):
         forked = self._run(tmp_path, capsys, "forked", text, report)
-        assert len(worker_forks) == 1
+        assert len(worker_forks.pids) == 1
         monkeypatch.delattr(os, "fork")
         in_process = self._run(tmp_path, capsys, "in-process", text, report)
         assert forked[0] == in_process[0] == codes
@@ -397,7 +435,7 @@ class TestDiagnosticsWorker:
 
     def test_a_failed_fork_runs_in_process(self, tmp_path, capsys, monkeypatch, worker_forks):
         forked = self._run(tmp_path, capsys, "forked", IDENTITY_TEXT, False)
-        assert len(worker_forks) == 1
+        assert len(worker_forks.pids) == 1 and len(worker_forks.pins) == 3
 
         def failed_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -413,6 +451,7 @@ class TestDiagnosticsWorker:
         for fd in after:
             os.close(fd)
         assert after == free
+        assert len(worker_forks.pins) == 3  # a failed fork pins nothing
         assert forked[0] == in_process[0] == [0]
         assert forked[1].out == in_process[1].out and forked[2] == in_process[2]
 
@@ -429,7 +468,7 @@ class TestDiagnosticsWorker:
         out = tmp_path / "run"
         with pytest.raises(ValueError, match="spoiled second block") as info:
             main(["run", _write_cfg(tmp_path, text, out=out)])
-        assert len(worker_forks) == 1
+        assert len(worker_forks.pids) == 1
         # the worker's traceback is attached as the cause
         assert isinstance(info.value.__cause__, cli._WorkerTraceback)
         assert "in spoil" in str(info.value.__cause__)
@@ -450,28 +489,89 @@ class TestDiagnosticsWorker:
         assert not (out / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("text, reason", [
-        # the CFL limit is 0.98 here
-        (IDENTITY_TEXT.replace("dt = 0.001", "dt = 1.2").replace("t_end = 0.06", "t_end = 2.4"), "cfl"),
+        (CFL_ABORT_TEXT, "cfl"),
         (IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = 0.99\n\n[diagnostics]"), "blowup"),
     ], ids=["cfl", "blowup"])
     def test_an_aborted_run_reaps_the_worker(self, tmp_path, capsys, worker_forks, text, reason):
         assert main(["run", _write_cfg(tmp_path, text, out=tmp_path / "run")]) == 2
         assert f"run aborted ({reason})" in capsys.readouterr().err
-        assert len(worker_forks) == 1
+        assert len(worker_forks.pids) == 1
 
     def test_an_interrupted_run_reaps_the_worker(self, tmp_path, monkeypatch, worker_forks):
-        step, steps = solver._Kernel.step, []
-
-        def interrupted(kernel, *args):
-            steps.append(1)
-            if len(steps) == 10:
-                raise KeyboardInterrupt
-            return step(kernel, *args)
-
-        monkeypatch.setattr(solver._Kernel, "step", interrupted)
+        _interrupt_stepping(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")])
-        assert len(worker_forks) == 1
+        assert len(worker_forks.pids) == 1
+
+    @pytest.mark.parametrize("text, spoil, outcome", [
+        (IDENTITY_TEXT, lambda monkeypatch: None, 0),
+        (IDENTITY_TEXT, _raise_in_worker, ValueError),
+        (IDENTITY_TEXT, _kill_worker_at_second_block, 2),
+        (SCHEDULED_FROM_ZERO_TEXT, _kill_worker_at_second_block, 2),
+        (IDENTITY_TEXT, _interrupt_stepping, KeyboardInterrupt),
+        (CFL_ABORT_TEXT, lambda monkeypatch: None, 2),
+    ], ids=["pass", "worker-exception", "killed-at-the-table", "killed-mid-run", "interrupt", "abort"])
+    def test_the_pins_split_the_mask_and_are_put_back(self, tmp_path, capsys, monkeypatch, worker_forks,
+                                                      text, spoil, outcome):
+        allowed = {1, 4, 6}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed)
+        spoil(monkeypatch)
+        execute, at_exit = cli._execute, []
+
+        def watched(*args):
+            try:
+                return execute(*args)
+            finally:
+                at_exit.append(list(worker_forks.pins))
+
+        monkeypatch.setattr(cli, "_execute", watched)
+        argv = ["run", _write_cfg(tmp_path, text, out=tmp_path / "run")]
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        (pid,) = worker_forks.pids
+        # the worker alone on the highest CPU, this process on the others,
+        # then its own mask back before _execute returns or raises
+        assert at_exit == [worker_forks.pins] == [[(pid, {6}), (0, {1, 4}), (0, allowed)]]
+
+    @pytest.mark.parametrize("refused", ["worker", "parent", "missing"])
+    def test_pinning_is_best_effort(self, tmp_path, capsys, monkeypatch, worker_forks, refused):
+        calls = []
+
+        def einval(pid, mask):
+            calls.append(pid)
+            if (pid == 0) == (refused == "parent"):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        if refused == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_setaffinity", einval)
+        forked = self._run(tmp_path, capsys, "forked", IDENTITY_TEXT, False)
+        (pid,) = worker_forks.pids
+        # a refused pin of this process leaves its mask as it was: nothing to put back
+        assert calls == {"worker": [pid], "parent": [pid, 0], "missing": []}[refused]
+        monkeypatch.delattr(os, "fork")
+        in_process = self._run(tmp_path, capsys, "in-process", IDENTITY_TEXT, False)
+        assert forked[0] == in_process[0] == [0]
+        assert forked[1] == in_process[1] and forked[2] == in_process[2]
+
+    def test_this_process_steps_off_the_worker_cpu_and_gets_its_mask_back(self, tmp_path, monkeypatch):
+        if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+            pytest.skip("needs os.fork and at least two allowed CPUs")
+        before = os.sched_getaffinity(0)
+        running, during = cli.run, []
+
+        def watched(*args, **kwargs):
+            during.append(os.sched_getaffinity(0))
+            return running(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", watched)
+        assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")]) == 0
+        assert during == [before - {max(before)}]
+        assert os.sched_getaffinity(0) == before
 
 
 def _fmt_float_csv(header, rows) -> bytes:
