@@ -15,37 +15,130 @@ is exact for the product of any two resolved fields, which is what makes
 the integration-by-parts steps of the identity checks hold to round-off.
 
 Every transform in the package goes through `Grid._rfft` and
-`Grid._irfft`: the floats of `np.fft.rfft`/`irfft` without the cost of
-their Python wrappers (see `_bind_transforms`).
+`Grid._irfft`: the floats of `np.fft.rfft`/`irfft`, made by the fastest
+build of numpy's pocketfft code that is installed (see `_bind_transforms`):
+scipy's extension where it is found, which transforms the rows of a
+block together, else numpy's ufuncs, else np.fft itself.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
 __all__ = ["Grid"]
 
+_AXIS = (-1,)  # the axis every transform runs along
 
-def _bind_transforms():
-    """The pocketfft ufuncs that np.fft.rfft and np.fft.irfft wrap, called as
-    f(a, factor, out=out) with the wrappers' factors (1 forward, 1/n
-    inverse); where numpy's private module lacks them, stand-ins that call
-    np.fft.  rfft_n_even suffices: every length the package transforms is
-    even."""
+
+def _load_pypocketfft():
+    """scipy's pocketfft extension loaded from its file, or None where scipy
+    or the file is missing.
+
+    `import scipy.fft` would add a quarter of a second to every start;
+    the file alone costs about a millisecond.  The module is loaded under
+    its qualified name and kept out of sys.modules, so scipy's own later
+    import of it is undisturbed."""
+    spec = importlib.util.find_spec("scipy")
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module
+    return None
+
+
+def _numpy_transforms():
+    """The pocketfft ufuncs that np.fft.rfft and np.fft.irfft wrap, passed
+    the wrappers' factors (1 forward, 1/n inverse); where numpy's private
+    module lacks them, stand-ins that call np.fft on the inputs cast as the
+    ufuncs cast them (np.fft keeps float32 and complex64).  rfft_n_even
+    suffices: every length the package transforms is even."""
     try:
-        from numpy.fft._pocketfft_umath import irfft, rfft_n_even
+        from numpy.fft._pocketfft_umath import irfft as c2r, rfft_n_even as r2c
     except ImportError:
 
-        def rfft_n_even(a, factor, out):
-            return np.fft.rfft(a, out=out)
+        def rfft(a, out):
+            return np.fft.rfft(np.asarray(a, float), out=out)
 
-        def irfft(c, factor, out):
-            return np.fft.irfft(c, out.shape[-1], out=out)
+        def irfft(c, n, out):
+            return np.fft.irfft(np.asarray(c, complex), n, out=out)
 
-    return rfft_n_even, irfft
+        return "np.fft", rfft, irfft
+
+    def rfft(a, out):
+        return r2c(a, 1.0, out=out)
+
+    def irfft(c, n, out):
+        return c2r(c, 1.0 / n, out=out)
+
+    return "numpy", rfft, irfft
 
 
-_rfft_ufunc, _irfft_ufunc = _bind_transforms()
+def _scipy_transforms(ext):
+    """The r2c and c2r of scipy's pocketfft extension `ext`, on one thread:
+    the same pocketfft code as numpy's ufuncs, but each call transforms all
+    the rows of a block in one SIMD pass.  Inputs are cast to float64 and
+    complex128, as numpy's ufuncs cast them.
+
+    c2r scales by 1/n itself (inorm=2) at every length where its factor is
+    numpy's 1/n.  It rounds the factor from long double, which differs at a
+    few lengths (on x86-64 the first is 5462); there the transform is left
+    unscaled and then multiplied by numpy's 1/n, which gives numpy's floats."""
+    r2c, c2r = ext.r2c, ext.c2r
+    norms = {}  # n -> the inorm of c2r at n
+
+    def rfft(a, out):
+        return r2c(np.asarray(a, float), _AXIS, True, 0, out, 1)
+
+    def irfft(c, n, out):
+        norm = norms.get(n)
+        if norm is None:  # c2r of the unit spectrum is its factor at every point
+            unit = np.eye(1, n // 2 + 1, dtype=complex)[0]
+            norm = norms[n] = 2 if c2r(unit, _AXIS, n, False, 2, None, 1)[0] == 1.0 / n else 0
+        c2r(np.asarray(c, complex), _AXIS, n, False, norm, out, 1)
+        return out if norm else np.multiply(out, 1.0 / n, out=out)
+
+    return "scipy", rfft, irfft
+
+
+def _same_floats(binding, reference, n=60) -> bool:
+    """Whether two (name, rfft, irfft) bindings give the same floats on a
+    probe block of 3 rows of length n."""
+    a = np.sin(np.arange(3.0 * n) ** 1.5).reshape(3, n)
+    spectra = [rfft(a, np.empty((3, n // 2 + 1), complex)) for _, rfft, _ in (binding, reference)]
+    fields = [irfft(spectra[1], n, np.empty((3, n))) for _, _, irfft in (binding, reference)]
+    return all(np.array_equal(x, y) for x, y in (spectra, fields))
+
+
+def _bind_transforms():
+    """(name, rfft, irfft) of the transforms the package binds, called as
+    rfft(a, out) and irfft(c, n, out) with exactly n // 2 + 1 modes in c.
+
+    scipy's extension serves where it loads, and where one probe block
+    transformed with it gives the floats of numpy's binding; any exception
+    (a missing file, a changed signature) or any float that differs selects
+    numpy's binding."""
+    numpy = _numpy_transforms()
+    try:
+        ext = _load_pypocketfft()
+        if ext is not None:
+            scipy = _scipy_transforms(ext)
+            if _same_floats(scipy, numpy):
+                return scipy
+    except Exception:  # scipy is optional: whatever fails in it, numpy's binding serves
+        pass
+    return numpy
+
+
+_BINDING, _rfft_bound, _irfft_bound = _bind_transforms()
 
 
 class Grid:
@@ -105,16 +198,22 @@ class Grid:
         `out` or a fresh array."""
         if out is None:
             out = np.empty(a.shape[:-1] + (a.shape[-1] // 2 + 1,), complex)
-        return _rfft_ufunc(a, 1.0, out=out)
+        return _rfft_bound(a, out)
 
     def _irfft(self, c, n=None, out=None):
         """irfft of the half spectra along the last axis of c to n points (N
-        by default), into `out` or a fresh array; the spectra are cut or
-        zero-padded to n // 2 + 1 modes."""
+        by default), into `out` or a fresh array.  Every binding takes
+        exactly n // 2 + 1 modes: longer spectra are cut, shorter ones
+        zero-padded into a fresh array, as numpy's ufunc does inside."""
         n = self.N if n is None else n
+        m, have = n // 2 + 1, c.shape[-1]
+        if have > m:
+            c = c[..., :m]
+        elif have < m:
+            c = np.concatenate((c, np.zeros(c.shape[:-1] + (m - have,), complex)), axis=-1)
         if out is None:
             out = np.empty(c.shape[:-1] + (n,))
-        return _irfft_ufunc(c, 1.0 / n, out=out)
+        return _irfft_bound(c, n, out)
 
     def hat(self, values):
         return self._rfft(self.check(values))
@@ -149,12 +248,15 @@ class Grid:
 
     def _product_buffers(self, shape) -> tuple:
         """The work arrays of `_dealiased_products` for stacked coeffs of the
-        given shape: the fine-grid fields, their first row and the others,
-        their wide spectrum and its coarse band."""
+        given shape: the zero-padded fine spectrum and its band of the N/2
+        modes below Nyquist, the fine-grid fields, their first row and the
+        others, their wide spectrum and its coarse band."""
         lead = tuple(shape[:-1])
+        padded = np.zeros(lead + (self.n_fine // 2 + 1,), complex)
         fine = np.empty(lead + (self.n_fine,))
-        wide = np.empty(lead + (self.n_fine // 2 + 1,), complex)
-        return fine, fine[0], fine[1:], wide, wide[..., : self.N // 2 + 1]
+        wide = np.empty_like(padded)
+        return (padded, padded[..., : self.N // 2], fine, fine[0], fine[1:],
+                wide, wide[..., : self.N // 2 + 1])
 
     def _dealiased_products(self, coeffs, buffers):
         """Coarse rfft coeffs of the product of the field of row 0 with the
@@ -163,11 +265,14 @@ class Grid:
 
         The work happens in the caller's `buffers` (see `_product_buffers`),
         and the result is a view of them, valid until their next use.  The
-        inverse transform pads the coefficients with zeros to the fine grid;
-        the Nyquist mode is dropped on the way in and zeroed on the way out.
+        coeffs below Nyquist are copied into the band of the padded
+        spectrum, whose higher modes stay zero; a caller that wrote them
+        there itself passes None.  The Nyquist mode is zeroed on the way out.
         """
-        fine, head, tail, wide, prods = buffers
-        self._irfft(coeffs[..., : self.N // 2], self.n_fine, out=fine)
+        padded, band, fine, head, tail, wide, prods = buffers
+        if coeffs is not None:
+            np.copyto(band, coeffs[..., : self.N // 2])
+        self._irfft(padded, self.n_fine, out=fine)
         np.multiply(fine, self._up, out=fine)
         np.multiply(tail, head, out=tail)  # row 0 last: the others read it
         np.multiply(head, head, out=head)

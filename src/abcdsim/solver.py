@@ -15,11 +15,11 @@ of h is ever taken.
 builds a physical State only at snapshots; that State carries the
 coefficients too, so an observer needs no forward transform of u or
 eta.  The kernel steps in a workspace it allocates once per grid: the
-transforms (`Grid._rfft`/`_irfft`, numpy's pocketfft ufuncs) write into
-it, the separable bottom enters as three scalars per stage time that
-scale its unit-tau spectra into it, the RK4 scalars enter as 0-d complex
-arrays made once per dt, and each step allocates only the fresh array of
-coefficients it returns.  `rhs` and `step_rk4` are physical-space
+transforms (`Grid._rfft`/`_irfft`, the pocketfft binding of `grid.py`)
+write into it, the separable bottom enters as three scalars per stage
+time that scale its unit-tau spectra into it, the RK4 scalars enter as
+0-d complex arrays made once per dt, and each step allocates only the
+fresh array of coefficients it returns.  `rhs` and `step_rk4` are physical-space
 adapters over the same kernel.
 """
 
@@ -182,12 +182,13 @@ class _Kernel:
     bottom; `at` scales it to a time.
 
     Each kernel owns a workspace, allocated once from its grid: the
-    buffers of the dealiased products, tau h_hat and the scaled forcing of
-    the current time, the padded input (u_hat, eta_hat + tau h_hat), the
-    stage input and the four stage tendencies.  A step runs in it with the
-    operations, and their order, of the plain RK4 formula and returns a
-    fresh array, since a snapshot State freezes the coefficients it
-    carries.
+    buffers of the dealiased products, tau h_hat below Nyquist and the
+    scaled forcing of the current time, the stage input and the four
+    stage tendencies.  Over a bottom, (u_hat, eta_hat + tau h_hat) is
+    written straight into the products' padded spectrum.  A step runs in
+    it with the operations, and their order, of the plain RK4 formula and
+    returns a fresh array, since a snapshot State freezes the
+    coefficients it carries.
     """
 
     def __init__(self, g: Grid, p: AbcdParams, bottom=None):
@@ -198,15 +199,15 @@ class _Kernel:
         self.bottom = bottom
         shape = self.lin.shape
         self._products = g._product_buffers(shape)
-        self._h = np.empty(shape[-1], complex)
-        self._scaled, self._padded, self._stage = np.empty((3,) + shape, complex)
+        self._h = np.empty(shape[-1] - 1, complex)
+        self._scaled, self._stage = np.empty((2,) + shape, complex)
         self._k = tuple(np.empty((4,) + shape, complex))
         self._dt = None  # the dt of `_dts`
 
     def at(self, scales) -> None:
         """Scale the bottom to the time of `scales` = (tau, c1 tau'', tau')."""
         (h_hat, force), (tau, c1_tau2, dtau) = self.bottom, scales
-        np.multiply(tau, h_hat, out=self._h)
+        np.multiply(tau, h_hat[:-1], out=self._h)
         np.multiply(c1_tau2, force[0], out=self._scaled[0])
         np.multiply(dtau, force[1], out=self._scaled[1])
 
@@ -214,9 +215,9 @@ class _Kernel:
         """The tendency of y into out, over the bottom at the time of the last `at`."""
         x = y
         if self.bottom is not None:
-            x = self._padded
-            x[0] = y[0]
-            np.add(y[1], self._h, out=x[1])
+            x, band = None, self._products[1]
+            np.copyto(band[0], y[0, :-1])
+            np.add(y[1, :-1], self._h, out=band[1])
         prods = self.grid._dealiased_products(x, self._products)
         np.multiply(self.lin, y[::-1], out=out)
         np.multiply(self.quad, prods, out=prods)

@@ -1,9 +1,10 @@
 """Shared pytest hooks: verdict lines for the acceptance criteria, a
-counter of the package's transforms, and a check that a test leaves no
-child process behind."""
+counter of the package's transforms, a switch of their binding, and a
+check that a test leaves no child process behind."""
 
 import os
 import re
+import sys
 
 import pytest
 
@@ -26,6 +27,30 @@ def transform_calls(monkeypatch):
 
         monkeypatch.setattr(Grid, name, counted)
     return calls
+
+
+@pytest.fixture
+def bind_transforms(monkeypatch):
+    """bind(name) binds the package's transforms until the test ends, as
+    `abcdsim.grid._bind_transforms` binds them: "scipy" (skipped where its
+    extension is not installed), "numpy" (the extension hidden) or "np.fft"
+    (numpy's ufuncs hidden as well)."""
+    import abcdsim.grid as grid_module
+
+    def bind(name):
+        if name == "scipy" and grid_module._load_pypocketfft() is None:
+            pytest.skip("scipy's pocketfft extension is not installed")
+        if name != "scipy":
+            monkeypatch.setattr(grid_module, "_load_pypocketfft", lambda: None)
+        if name == "np.fft":
+            # np.fft keeps the module it already holds, so only the binding falls back
+            monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+        bound = grid_module._bind_transforms()
+        assert bound[0] == name
+        for attr, value in zip(("_BINDING", "_rfft_bound", "_irfft_bound"), bound):
+            monkeypatch.setattr(grid_module, attr, value)
+
+    return bind
 
 
 @pytest.fixture

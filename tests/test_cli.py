@@ -405,6 +405,22 @@ class TestDiagnosticsWorker:
         assert {"diagnostics.csv", "summary.json", "initial_state.csv",
                 "final_state.csv"} <= set(forked[2])
 
+    @pytest.mark.parametrize("text, codes", [(IDENTITY_TEXT, [0]), (SCHEDULED_FROM_ZERO_TEXT, [3])],
+                             ids=["identity-fixed", "bump-schedule"])
+    def test_each_transform_binding_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                          worker_forks, bind_transforms, text, codes):
+        runs = []
+        for name in ("scipy", "numpy"):
+            bind_transforms(name)
+            runs.append(self._run(tmp_path, capsys, f"{name}-forked", text, False))
+            with monkeypatch.context() as m:
+                m.delattr(os, "fork")
+                runs.append(self._run(tmp_path, capsys, f"{name}-in-process", text, False))
+        assert len(worker_forks.pids) == 2
+        for codes_, captured, files in runs:
+            assert codes_ == codes and captured.out == runs[0][1].out and files == runs[0][2]
+        assert {"diagnostics.csv", "summary.json", "initial_state.csv", "final_state.csv"} <= set(runs[0][2])
+
     def test_a_truncated_frame_ends_the_worker_with_eof(self, tmp_path):
         sim = build_sim_config(parse_config(_write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")))
         engine = DiagnosticsEngine(sim.params, sim.bathymetry)

@@ -1,17 +1,26 @@
 """Spectral grid operators: derivatives, smoothing inverse, products, quadrature."""
 
+import dataclasses
+import os
+import pathlib
+import subprocess
 import sys
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import abcdsim
 import abcdsim.grid as grid_module
-from abcdsim import Grid, State, decaying_bump
+import abcdsim.solver as solver
+from abcdsim import Grid, State, decaying_bump, run
 from abcdsim.bathymetry import BathymetrySamples
 from abcdsim.cli import main as cli_main
+from abcdsim.diagnostics import DiagnosticsEngine
 from oracles import mult
 from test_cli import IDENTITY_TEXT, _write_cfg
+from test_solver import BOTTOMS, _oracle_config
 
 
 class TestConstruction:
@@ -176,17 +185,13 @@ class TestCanonicalPair:
         npt.assert_allclose(h, np.cos(2.0 * g.x) / 5.0, atol=1e-13)
 
 
-@pytest.fixture(params=["bound", "fallback"])
-def binding(request, monkeypatch):
-    """The transforms as bound at import, or the np.fft stand-ins that
-    `_bind_transforms` falls back to when numpy's private module is missing."""
-    if request.param == "fallback":
-        # np.fft keeps the module it already holds, so only the binding falls back
-        monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
-        rfft, irfft = grid_module._bind_transforms()
-        assert not isinstance(rfft, np.ufunc) and not isinstance(irfft, np.ufunc)
-        monkeypatch.setattr(grid_module, "_rfft_ufunc", rfft)
-        monkeypatch.setattr(grid_module, "_irfft_ufunc", irfft)
+@pytest.fixture(params=["bound", "numpy", "fallback"])
+def binding(request, bind_transforms):
+    """Each binding `_bind_transforms` can make: the transforms as bound at
+    import (scipy's extension wherever it is installed), numpy's ufuncs
+    with the extension hidden, and the np.fft stand-ins with both hidden."""
+    if request.param != "bound":
+        bind_transforms("np.fft" if request.param == "fallback" else "numpy")
     return request.param
 
 
@@ -240,6 +245,59 @@ class TestTransformBinding:
         fields = ("h", "dt_h", "dt_dxx_h", "dtt_dx_h", "dtt_dxx_h")
         assert np.array_equal(hand.spectra, np.fft.rfft(np.stack([getattr(bs, k) for k in fields])))
 
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_irfft_cuts_and_pads_the_spectra(self, binding, n):
+        # every binding takes exactly n // 2 + 1 modes: `_irfft` cuts longer
+        # spectra and zero-pads shorter ones, as np.fft does
+        g = Grid(10 * np.pi, n)
+        rng = np.random.default_rng(3 * n)
+        for modes in (n // 2 + 9, n // 4, n // 2):
+            c = self._spectra(rng, (2, modes))
+            assert np.array_equal(g._irfft(c), np.fft.irfft(c, n=n)), modes
+            assert np.array_equal(g._irfft(c, g.n_fine), np.fft.irfft(c, n=g.n_fine)), modes
+
+    # 1/n rounded from long double is not the double 1/n at these lengths on x86-64
+    @pytest.mark.parametrize("n", [5462, 9246])
+    def test_lengths_where_the_long_double_factor_differs(self, binding, n):
+        g = Grid(10 * np.pi, n)
+        c = self._spectra(np.random.default_rng(n), (2, n // 2 + 1))
+        assert np.array_equal(g._irfft(c), np.fft.irfft(c, n=n))
+
+    def test_hat_and_from_hat_cast_their_inputs(self, binding):
+        # np.fft's complex128/float64 result of the inputs cast as numpy's ufuncs cast them
+        g = Grid(10 * np.pi, 64)
+        rng = np.random.default_rng(11)
+        u = rng.standard_normal(g.N)
+        for v in (np.round(100 * u).astype(np.int64), u.astype(np.float32)):
+            got = g.hat(v)
+            assert got.dtype == complex and np.array_equal(got, np.fft.rfft(v.astype(float)))
+        c = self._spectra(rng, g.N // 2 + 1)
+        for v in (c.astype(np.complex64), np.round(100 * c.real).astype(np.int64), c.real):
+            got = g.from_hat(v)
+            assert got.dtype == float and np.array_equal(got, np.fft.irfft(v.astype(complex), n=g.N))
+
+    def test_the_padded_spectra_stay_zero_above_the_band(self, binding, monkeypatch):
+        # the kernel over a bump and an engine block write only the N/2 modes
+        # of the band into their padded spectra: the modes above stay zero
+        bottom, params = BOTTOMS[1]
+        cfg = dataclasses.replace(_oracle_config(bottom, params), snapshot_every=5)
+        kernels, step = [], solver._Kernel.step
+
+        def recording(kernel, *args):
+            kernels.append(kernel)
+            return step(kernel, *args)
+
+        monkeypatch.setattr(solver._Kernel, "step", recording)
+        engine = DiagnosticsEngine(params, bottom, weight_mode="fixed", fixed_lambda=10.0)
+        run(cfg, observer=engine)
+        engine.table()
+        padded = [kernels[0]._products[0]] + [work[0] for _, _, work in engine._buffers.values()]
+        # the kernel's, and the ladders' of the three blocks of 16 snapshots and of the last one
+        assert len(padded) == 3
+        for spectrum in padded:
+            assert spectrum[..., : cfg.grid.N // 2].any()
+            assert not spectrum[..., cfg.grid.N // 2 :].any()
+
     def test_the_package_calls_no_np_fft_transform(self, tmp_path, monkeypatch, transform_calls):
         # an identity suite over a bump (stepping, snapshot ladders, bottom
         # spectra) with every np.fft transform broken: the counters of
@@ -253,3 +311,50 @@ class TestTransformBinding:
         assert cli_main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)]) == 0
         assert {name for name, _ in transform_calls} == {"_rfft", "_irfft"}
         assert (out / "diagnostics.csv").exists()
+
+
+class TestBindingChoice:
+    """Which transforms `_bind_transforms` binds, and what binding them costs."""
+
+    def test_the_package_imports_no_scipy(self):
+        # scipy's extension is loaded from its file: `import scipy.fft` would
+        # add a quarter of a second to every start.  scipy's own later
+        # import of the same extension still works and agrees with np.fft
+        code = ("import sys, numpy as np; import abcdsim.cli; from abcdsim import grid; "
+                "print(grid._BINDING, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)); "
+                "import scipy.fft; a = np.sin(np.arange(96.0) ** 1.5).reshape(2, 48); "
+                "print(np.array_equal(scipy.fft.rfft(a), np.fft.rfft(a)), "
+                "np.array_equal(scipy.fft.irfft(scipy.fft.rfft(a)), np.fft.irfft(np.fft.rfft(a))))")
+        if grid_module._load_pypocketfft() is None:
+            pytest.skip("scipy's pocketfft extension is not installed")
+        src = str(pathlib.Path(abcdsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.splitlines() == ["scipy False", "True True"]
+
+    @staticmethod
+    def _spoiled(ext, spoil):
+        """A stand-in for the extension whose c2r output passes through spoil."""
+        def c2r(*args):
+            return spoil(ext.c2r(*args))
+
+        return types.SimpleNamespace(r2c=ext.r2c, c2r=c2r)
+
+    @pytest.mark.parametrize("spoil", ["raises", "one-ulp"])
+    def test_a_probe_that_fails_binds_numpy(self, monkeypatch, spoil):
+        ext = grid_module._load_pypocketfft()
+        if ext is None:
+            pytest.skip("scipy's pocketfft extension is not installed")
+        assert grid_module._bind_transforms()[0] == "scipy"
+
+        def raises(out):
+            raise TypeError("c2r() changed its signature")
+
+        def one_ulp(out):
+            out.flat[-1] = np.nextafter(out.flat[-1], np.inf)
+            return out
+
+        fake = self._spoiled(ext, raises if spoil == "raises" else one_ulp)
+        monkeypatch.setattr(grid_module, "_load_pypocketfft", lambda: fake)
+        assert grid_module._bind_transforms()[0] == "numpy"
