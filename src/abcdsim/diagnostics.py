@@ -131,6 +131,7 @@ class _Snap:
                               g._product_buffers(y.shape))
         rows, fields, work = buffers[shape]
         prods = g._dealiased_products(y, work)  # u^2, u eta [, u h]
+        prods *= g._product_scale
         # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
         tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
         images = np.stack((helm, ik * helm))[:, None]

@@ -14,11 +14,13 @@ dealiased products zero it.  With Nyquist-free fields the rectangle rule
 is exact for the product of any two resolved fields, which is what makes
 the integration-by-parts steps of the identity checks hold to round-off.
 
-Every transform in the package goes through `Grid._rfft` and
-`Grid._irfft`: the floats of `np.fft.rfft`/`irfft`, made by the fastest
-build of numpy's pocketfft code that is installed (see `_bind_transforms`):
-scipy's extension where it is found, which transforms the rows of a
-block together, else numpy's ufuncs, else np.fft itself.
+Every transform in the package goes through one pair bound at import
+(see `_bind_transforms`), the fastest installed build of numpy's
+pocketfft code: scipy's extension, which transforms the rows of a block
+together, else numpy's ufuncs, else np.fft; the inverse unnormalized.
+`Grid._rfft`/`_irfft` give the floats of `np.fft.rfft`/`irfft`.  The
+dealiased products stay unscaled: the three factors of the 3/2 rule are
+one constant, 1/(N n_fine), which the caller folds into its next multiply.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def _load_pypocketfft():
 
 def _numpy_transforms():
     """The pocketfft ufuncs that np.fft.rfft and np.fft.irfft wrap, passed
-    the wrappers' factors (1 forward, 1/n inverse); where numpy's private
-    module lacks them, stand-ins that call np.fft on the inputs cast as the
+    the factor 1 (the inverse unnormalized); where numpy's private module
+    lacks them, stand-ins that call np.fft on the inputs cast as the
     ufuncs cast them (np.fft keeps float32 and complex64).  rfft_n_even
     suffices: every length the package transforms is even."""
     try:
@@ -69,7 +71,7 @@ def _numpy_transforms():
             return np.fft.rfft(np.asarray(a, float), out=out)
 
         def irfft(c, n, out):
-            return np.fft.irfft(np.asarray(c, complex), n, out=out)
+            return np.fft.irfft(np.asarray(c, complex), n, norm="forward", out=out)
 
         return "np.fft", rfft, irfft
 
@@ -77,34 +79,24 @@ def _numpy_transforms():
         return r2c(a, 1.0, out=out)
 
     def irfft(c, n, out):
-        return c2r(c, 1.0 / n, out=out)
+        return c2r(c, 1.0, out=out)
 
     return "numpy", rfft, irfft
 
 
 def _scipy_transforms(ext):
-    """The r2c and c2r of scipy's pocketfft extension `ext`, on one thread:
-    the same pocketfft code as numpy's ufuncs, but each call transforms all
-    the rows of a block in one SIMD pass.  Inputs are cast to float64 and
-    complex128, as numpy's ufuncs cast them.
-
-    c2r scales by 1/n itself (inorm=2) at every length where its factor is
-    numpy's 1/n.  It rounds the factor from long double, which differs at a
-    few lengths (on x86-64 the first is 5462); there the transform is left
-    unscaled and then multiplied by numpy's 1/n, which gives numpy's floats."""
+    """The r2c and c2r of scipy's pocketfft extension `ext`, on one thread,
+    the inverse unnormalized (inorm=0): the same pocketfft code as numpy's
+    ufuncs, but each call transforms all the rows of a block in one SIMD
+    pass.  Inputs are cast to float64 and complex128, as numpy's ufuncs
+    cast them."""
     r2c, c2r = ext.r2c, ext.c2r
-    norms = {}  # n -> the inorm of c2r at n
 
     def rfft(a, out):
         return r2c(np.asarray(a, float), _AXIS, True, 0, out, 1)
 
     def irfft(c, n, out):
-        norm = norms.get(n)
-        if norm is None:  # c2r of the unit spectrum is its factor at every point
-            unit = np.eye(1, n // 2 + 1, dtype=complex)[0]
-            norm = norms[n] = 2 if c2r(unit, _AXIS, n, False, 2, None, 1)[0] == 1.0 / n else 0
-        c2r(np.asarray(c, complex), _AXIS, n, False, norm, out, 1)
-        return out if norm else np.multiply(out, 1.0 / n, out=out)
+        return c2r(np.asarray(c, complex), _AXIS, n, False, 0, out, 1)
 
     return "scipy", rfft, irfft
 
@@ -120,7 +112,9 @@ def _same_floats(binding, reference, n=60) -> bool:
 
 def _bind_transforms():
     """(name, rfft, irfft) of the transforms the package binds, called as
-    rfft(a, out) and irfft(c, n, out) with exactly n // 2 + 1 modes in c.
+    rfft(a, out) and irfft(c, n, out) with exactly n // 2 + 1 modes in c:
+    the floats of np.fft.rfft(a) and np.fft.irfft(c, n, norm="forward"),
+    the inverse unnormalized.
 
     scipy's extension serves where it loads, and where one probe block
     transformed with it gives the floats of numpy's binding; any exception
@@ -172,10 +166,13 @@ class Grid:
         # fine grid for zero-padded quadratic products
         m = (3 * N) // 2
         self.n_fine = m if m % 2 == 0 else m + 1
-        # the factors between coarse and fine transforms, as arrays of the dtype they
-        # scale: a Python float costs a dtype promotion per call
-        self._up = np.array(self.n_fine / N)
-        self._down = np.array(N / self.n_fine, dtype=complex)
+        # the factor that turns `_dealiased_products` into coarse coefficients
+        self._product_scale = 1.0 / (N * self.n_fine)
+        # H1 Parseval weights of the half spectrum, the interior modes doubled,
+        # each twice: for the real and the imaginary part of the mode
+        w = self.dx / N * (1.0 + self.k2)
+        w[1:-1] *= 2.0
+        self._h1_weights = np.repeat(w, 2)
 
     # -- binding ---------------------------------------------------------
 
@@ -204,7 +201,9 @@ class Grid:
         """irfft of the half spectra along the last axis of c to n points (N
         by default), into `out` or a fresh array.  Every binding takes
         exactly n // 2 + 1 modes: longer spectra are cut, shorter ones
-        zero-padded into a fresh array, as numpy's ufunc does inside."""
+        zero-padded into a fresh array, as numpy's ufunc does inside.  The
+        unnormalized inverse times numpy's double 1/n is the float of
+        np.fft.irfft, at every n."""
         n = self.N if n is None else n
         m, have = n // 2 + 1, c.shape[-1]
         if have > m:
@@ -213,7 +212,7 @@ class Grid:
             c = np.concatenate((c, np.zeros(c.shape[:-1] + (m - have,), complex)), axis=-1)
         if out is None:
             out = np.empty(c.shape[:-1] + (n,))
-        return _irfft_bound(c, n, out)
+        return np.multiply(_irfft_bound(c, n, out), 1.0 / n, out=out)
 
     def hat(self, values):
         return self._rfft(self.check(values))
@@ -259,9 +258,12 @@ class Grid:
                 wide, wide[..., : self.N // 2 + 1])
 
     def _dealiased_products(self, coeffs, buffers):
-        """Coarse rfft coeffs of the product of the field of row 0 with the
-        field of every row of the stacked coeffs: one stacked transform to
-        the fine grid and one back.
+        """Unscaled coarse rfft coeffs of the product of the field of row 0
+        with the field of every row of the stacked coeffs: one stacked
+        unnormalized transform to the fine grid and one back, R2C(C2R(p)
+        C2R(q)).  Times `_product_scale`, 1/(N n_fine), they are the
+        coeffs of the products; a caller folds that factor into its own
+        next multiply.
 
         The work happens in the caller's `buffers` (see `_product_buffers`),
         and the result is a view of them, valid until their next use.  The
@@ -272,12 +274,10 @@ class Grid:
         padded, band, fine, head, tail, wide, prods = buffers
         if coeffs is not None:
             np.copyto(band, coeffs[..., : self.N // 2])
-        self._irfft(padded, self.n_fine, out=fine)
-        np.multiply(fine, self._up, out=fine)
+        _irfft_bound(padded, self.n_fine, fine)
         np.multiply(tail, head, out=tail)  # row 0 last: the others read it
         np.multiply(head, head, out=head)
-        self._rfft(fine, out=wide)
-        np.multiply(prods, self._down, out=prods)
+        _rfft_bound(fine, wide)
         prods[..., -1] = 0.0
         return prods
 

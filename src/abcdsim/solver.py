@@ -15,12 +15,13 @@ of h is ever taken.
 builds a physical State only at snapshots; that State carries the
 coefficients too, so an observer needs no forward transform of u or
 eta.  The kernel steps in a workspace it allocates once per grid: the
-transforms (`Grid._rfft`/`_irfft`, the pocketfft binding of `grid.py`)
-write into it, the separable bottom enters as three scalars per stage
-time that scale its unit-tau spectra into it, the RK4 scalars enter as
-0-d complex arrays made once per dt, and each step allocates only the
-fresh array of coefficients it returns.  `rhs` and `step_rk4` are physical-space
-adapters over the same kernel.
+transforms (the pocketfft pair bound in `grid.py`, the inverse
+unnormalized) write into it, the scale of the 3/2-rule products rides in
+the kernel's quadratic symbols, the separable bottom enters as three
+scalars per stage time that scale its unit-tau spectra into it, the RK4
+scalars enter as 0-d complex arrays made once per dt, and each step
+allocates only the fresh array of coefficients it returns.  `rhs` and
+`step_rk4` are physical-space adapters over the same kernel.
 """
 
 from __future__ import annotations
@@ -115,10 +116,9 @@ def _carrying(s: State, y) -> State:
 def _h1_norm(g: Grid, y):
     """H1 x H1 norm of the fields whose rfft coefficients are the rows of y;
     of a (2, B, N/2 + 1) block, one norm per snapshot."""
-    w = (1.0 + g.k2) * np.sum(np.abs(y) ** 2, axis=0)
-    # rfft half-spectrum Parseval: double the interior modes
-    w[..., 1:-1] *= 2.0
-    return np.sqrt(g.dx / g.N * np.sum(w, axis=-1))
+    v = y.view(float)  # the real and imaginary part of each mode side by side
+    v = v * v
+    return np.sqrt(np.add.reduce((v[0] + v[1]) * g._h1_weights, axis=-1))
 
 
 def state_h1_norm(s: State) -> float:
@@ -177,9 +177,11 @@ class _Kernel:
 
     A tendency costs one stacked inverse transform of (u_hat, eta_hat +
     tau h_hat) to the fine grid and one stacked forward transform of
-    (u^2, u (eta + h)) back, so an RK4 step costs 8 transforms.  `bottom`
-    is the (h_hat, force) of `_bottom_at` at unit tau, or None over a flat
-    bottom; `at` scales it to a time.
+    (u^2, u (eta + h)) back, so an RK4 step costs 8 transforms.  Both are
+    unnormalized (see `Grid._dealiased_products`): `quad` carries their
+    scale 1/(N n_fine), so a stage makes no pass that only rescales.
+    `bottom` is the (h_hat, force) of `_bottom_at` at unit tau, or None
+    over a flat bottom; `at` scales it to a time.
 
     Each kernel owns a workspace, allocated once from its grid: the
     buffers of the dealiased products, tau h_hat below Nyquist and the
@@ -195,7 +197,7 @@ class _Kernel:
         ik_hel = g._ik * g._helm
         self.grid = g
         self.lin = np.stack((ik_hel * (p.c * g.k2 - 1.0), ik_hel * (p.a * g.k2 - 1.0)))
-        self.quad = np.stack((-0.5 * ik_hel, -ik_hel))
+        self.quad = np.stack((-0.5 * ik_hel, -ik_hel)) * g._product_scale
         self.bottom = bottom
         shape = self.lin.shape
         self._products = g._product_buffers(shape)

@@ -8,24 +8,28 @@ import sys
 
 import pytest
 
-from abcdsim import Grid
-
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """The (name, input) of every transform the package makes from here on.
+    """The (name, input) of every transform the package makes from here on,
+    named "_rfft" or "_irfft".
 
-    Every transform goes through `Grid._rfft` or `Grid._irfft` (see
-    `tests/test_grid.py::TestTransformBinding`), so patching the two counts
-    them all; clear the list to start a new count.
+    Every transform goes through the pair `abcdsim.grid` binds,
+    `_rfft_bound` and `_irfft_bound` (see
+    `tests/test_grid.py::TestTransformBinding`): `Grid._rfft` and
+    `Grid._irfft` call them, and so do the dealiased products.  Patching
+    the two counts them all; clear the list to start a new count.  Binding
+    the transforms anew (`bind_transforms`) replaces the counters.
     """
+    import abcdsim.grid as grid_module
+
     calls = []
     for name in ("_rfft", "_irfft"):
-        def counted(grid, a, *args, _name=name, _fn=getattr(Grid, name), **kwargs):
+        def counted(a, *args, _name=name, _fn=getattr(grid_module, name + "_bound")):
             calls.append((_name, a))
-            return _fn(grid, a, *args, **kwargs)
+            return _fn(a, *args)
 
-        monkeypatch.setattr(Grid, name, counted)
+        monkeypatch.setattr(grid_module, name + "_bound", counted)
     return calls
 
 

@@ -33,45 +33,75 @@ def mult(g, u, v):
     Returns the projection of u*v onto the resolved (Nyquist-free) band,
     computed on the 3/2 fine grid so no aliased images fold back.
     """
-    uf = to_fine(g, g.hat(u))
-    vf = to_fine(g, g.hat(v))
-    return g.from_hat(from_fine(g, uf * vf))
+    uf = to_fine_prefold(g, g.hat(u))
+    vf = to_fine_prefold(g, g.hat(v))
+    return g.from_hat(from_fine_prefold(g, uf * vf))
 
 
 # -- the stepper with a fresh array for every intermediate -----------------
 # The arithmetic of `solver._Kernel` and `Grid._dealiased_products`, each
 # operation in the same order, written as plain expressions: the zero pad
 # is an explicit copy, and every product, sum and bottom term is a new
-# array.  The library's in-place kernel must match it bit for bit.
+# array.  The library's in-place kernel must match it bit for bit.  Both
+# transforms are unnormalized; the quadratic symbols carry their scale
+# 1/(N n_fine).  With prefold=True the kernel scales each transform
+# instead, as a textbook 3/2 rule does (the fine fields are the fields,
+# the coarse coeffs those of the products): the same numbers in exact
+# arithmetic, a different rounding.
+
+def _padded(g, coeffs):
+    """The rfft coeffs (stacked along the last axis) zero-padded to the fine
+    grid by copy, Nyquist dropped."""
+    fh = np.zeros(coeffs.shape[:-1] + (g.n_fine // 2 + 1,), dtype=complex)
+    fh[..., : g.N // 2] = coeffs[..., : g.N // 2]
+    return fh
+
+
+def _truncated(g, fine_hat):
+    """The coarse band of a fine spectrum, Nyquist zeroed."""
+    wh = fine_hat[..., : g.N // 2 + 1]
+    wh[..., -1] = 0.0
+    return wh
+
 
 def to_fine(g, coeffs):
-    """Fine-grid samples of the trig polynomials with the given rfft coeffs
-    (stacked along the last axis), zero-padded by copy."""
-    fh = np.zeros(coeffs.shape[:-1] + (g.n_fine // 2 + 1,), dtype=complex)
-    fh[..., : g.N // 2] = coeffs[..., : g.N // 2]  # Nyquist dropped
-    return np.fft.irfft(fh, n=g.n_fine) * (g.n_fine / g.N)
+    """The unnormalized inverse transform of the zero-padded coeffs: N times
+    the fine-grid samples of their trig polynomials."""
+    return np.fft.irfft(_padded(g, coeffs), n=g.n_fine, norm="forward")
 
 
 def from_fine(g, fine_values):
-    """Coarse rfft coeffs of fine-grid fields (last axis), truncated alias-free."""
-    wh = np.fft.rfft(fine_values)[..., : g.N // 2 + 1] * (g.N / g.n_fine)
-    wh[..., -1] = 0.0
-    return wh
+    """The coarse band of the forward transform of fine-grid values, alias-free."""
+    return _truncated(g, np.fft.rfft(fine_values))
+
+
+def to_fine_prefold(g, coeffs):
+    """Fine-grid samples of the trig polynomials with the given rfft coeffs."""
+    return np.fft.irfft(_padded(g, coeffs), n=g.n_fine) * (g.n_fine / g.N)
+
+
+def from_fine_prefold(g, fine_values):
+    """Coarse rfft coeffs of fine-grid fields, truncated alias-free."""
+    return _truncated(g, np.fft.rfft(fine_values) * (g.N / g.n_fine))
 
 
 class AllocatingKernel:
     """Tendency and RK4 step of y = (u_hat, eta_hat); the bottom enters as
     (h_hat, force) arrays built anew for each time."""
 
-    def __init__(self, g, p):
+    def __init__(self, g, p, prefold=False):
         ik_hel = g._ik * g._helm
         self.grid = g
         self.lin = np.stack((ik_hel * (p.c * g.k2 - 1.0), ik_hel * (p.a * g.k2 - 1.0)))
         self.quad = np.stack((-0.5 * ik_hel, -ik_hel))
+        self.fine = (to_fine_prefold, from_fine_prefold) if prefold else (to_fine, from_fine)
+        if not prefold:
+            self.quad = self.quad * (1.0 / (g.N * g.n_fine))
 
     def __call__(self, y, h_hat, force):
-        fine = to_fine(self.grid, y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
-        prods = from_fine(self.grid, fine * fine[0])
+        up, down = self.fine
+        fine = up(self.grid, y if h_hat is None else np.stack((y[0], y[1] + h_hat)))
+        prods = down(self.grid, fine * fine[0])
         k = self.lin * y[::-1] + self.quad * prods
         if force is not None:
             k += force
@@ -110,10 +140,10 @@ def allocating_rhs(s, bs, p):
     return deta, du
 
 
-def allocating_run_coeffs(cfg) -> list:
+def allocating_run_coeffs(cfg, prefold=False) -> list:
     """The coefficients of `run`'s snapshots (at `cfg.snapshot_steps()`), without its guards."""
     g, p = cfg.grid, cfg.params
-    kernel, bottom = AllocatingKernel(g, p), allocating_bottom_at(cfg.bathymetry, g, p)
+    kernel, bottom = AllocatingKernel(g, p, prefold), allocating_bottom_at(cfg.bathymetry, g, p)
     y = State(g, cfg.eta0, cfg.u0, cfg.t_start).coeffs
     steps = cfg.snapshot_steps()
     out = [y]

@@ -217,6 +217,36 @@ class TestTransformBinding:
         assert g._rfft(fine, out=wide) is wide
         assert np.array_equal(wide, np.fft.rfft(fine))
         assert np.array_equal(g._rfft(fine), wide)
+        # the unnormalized inverse the products call on their padded spectrum,
+        # and the products: R2C(C2R(c) C2R(c_0)), unscaled
+        padded = np.zeros_like(wide)
+        padded[:, : n // 2] = c
+        raw = np.fft.irfft(c, n=g.n_fine, norm="forward")
+        assert grid_module._irfft_bound(padded, g.n_fine, fine) is fine
+        assert np.array_equal(fine, raw)
+        want = np.fft.rfft(raw * raw[0])[:, : n // 2 + 1]
+        want[:, -1] = 0.0
+        assert np.array_equal(g._dealiased_products(c, g._product_buffers(c.shape)), want)
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("lead", [(2,), (2, 3), (26, 3)])
+    def test_stacked_rows_are_the_rows_of_separate_calls(self, binding, n, lead):
+        # a stacked transform (the kernel's (2,) rows, a block's (2, B) and
+        # a ladder's (26, B)) gives each row the floats of that row alone
+        g = Grid(10 * np.pi, n)
+        rng = np.random.default_rng(n + len(lead))
+
+        def raw(c, m):  # the unnormalized inverse the dealiased products call
+            return grid_module._irfft_bound(c, m, np.empty(c.shape[:-1] + (m,)))
+
+        for m in (n, g.n_fine):
+            c = self._spectra(rng, lead + (m // 2 + 1,))
+            a = rng.standard_normal(lead + (m,))
+            stacked = (g._irfft(c, m), raw(c, m), g._rfft(a))
+            for i in np.ndindex(*lead):
+                alone = (g._irfft(c[i], m), raw(c[i], m), g._rfft(a[i]))
+                for name, x, y in zip(("irfft", "raw irfft", "rfft"), stacked, alone):
+                    assert np.array_equal(x[i], y), (m, name, i)
 
     @pytest.mark.parametrize("n, rows", [(128, 16), (512, 26), (4096, 26)])
     def test_ladder(self, binding, n, rows):

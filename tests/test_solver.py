@@ -33,8 +33,8 @@ from oracles import (
     allocating_bottom_at,
     allocating_rhs,
     allocating_run_coeffs,
-    from_fine,
-    to_fine,
+    from_fine_prefold,
+    to_fine_prefold,
 )
 
 
@@ -55,13 +55,13 @@ def _reference_rhs(s, bs, p):
     hel = g._helm
     k2 = g.k2
 
-    uf = to_fine(g, uh)
+    uf = to_fine_prefold(g, uh)
     if bs.zero:
-        sf = to_fine(g, eh)
+        sf = to_fine_prefold(g, eh)
     else:
-        sf = to_fine(g, g.hat(s.eta + bs.h))
-    p_us = from_fine(g, uf * sf)  # dealiased u*(eta+h)
-    p_uu = from_fine(g, uf * uf)  # dealiased u^2
+        sf = to_fine_prefold(g, g.hat(s.eta + bs.h))
+    p_us = from_fine_prefold(g, uf * sf)  # dealiased u*(eta+h)
+    p_uu = from_fine_prefold(g, uf * uf)  # dealiased u^2
 
     deta_hat = ik * hel * ((p.a * k2 - 1.0) * uh - p_us)
     du_hat = ik * hel * ((p.c * k2 - 1.0) * eh - 0.5 * p_uu)
@@ -479,6 +479,19 @@ class TestAgainstAllocatingKernel:
             bs = bottom.sample(g, s.t)
             for x, y in zip(rhs(s, bs, params), allocating_rhs(s, bs, params)):
                 assert np.array_equal(x, y), s.t
+
+    @pytest.mark.parametrize("bottom, params", BOTTOMS, ids=BOTTOM_IDS)
+    def test_run_matches_the_prefold_scaling_at_round_off(self, bottom, params):
+        # scaling each transform of the 3/2 rule instead of folding 1/(N n_fine)
+        # into the quadratic symbols moves the floats at round-off only; a
+        # wrong factor would show at O(1)
+        cfg = _oracle_config(bottom, params)
+        got = run(cfg).snapshots
+        want = allocating_run_coeffs(cfg, prefold=True)
+        assert len(got) == len(want) == 7
+        assert not np.array_equal(got[-1].coeffs, want[-1])  # the two roundings differ
+        for s, y in zip(got, want):
+            assert np.max(np.abs(s.coeffs - y)) <= 1e-14 * np.max(np.abs(y)), s.t
 
 
 class TestStepAllocations:
