@@ -8,22 +8,23 @@ nothing timestamp-like is emitted.
 
 A run that writes diagnostics (identity suite, decay run) evaluates them
 in one forked worker process when `os.fork` exists and the process may
-run on more than one CPU: the parent steps and writes each snapshot to a
-pipe as one raw frame (its kind and t, then the stacked rfft
-coefficients; the initial frame the fields too), the worker rebuilds the
-State as `run` does, feeds the same `DiagnosticsEngine` and pipes back
-its table, so the diagnostics of one snapshot overlap the steps to the
-next and every artifact keeps its bytes.  Right after the fork the
-parent pins the worker to the highest-numbered CPU of its affinity mask
-and itself to the rest, and puts its mask back once the worker is
-reaped: left to the scheduler, the woken worker often shared the
-parent's CPU and its blocks stalled the stepping once a block.  Pinning
-is best effort: where it is missing or refused the run goes on
-unpinned.  A frame cut short ends the worker with EOFError.  Otherwise,
-or when the fork fails, the engine runs in process, as in library use.
-A worker exception is raised again in the parent; a worker that dies
-without a result aborts the run (exit 2, reason "diagnostics-worker");
-no run leaves a child process behind.
+run on more than one CPU: the parent only steps, guards and writes each
+snapshot to a pipe asked for 1 MiB as one raw frame (its kind and t,
+then the stacked rfft coefficients; the initial frame the fields too).
+The worker writes `initial_state.csv` from the initial frame, hands each
+snapshot to the same `DiagnosticsEngine` as the State `run` hands over,
+whose fields the engine's ladder builds, and pipes back its table, so
+the diagnostics of one snapshot overlap the steps to the next and every
+artifact keeps its bytes.  Right after the fork the parent pins the
+worker to the highest-numbered CPU of its affinity mask and itself to
+the rest, and puts its mask back once the worker is reaped: left to the
+scheduler, the woken worker often shared the parent's CPU and its blocks
+stalled the stepping once a block.  Pinning is best effort: where it is
+missing or refused the run goes on unpinned.  A frame cut short ends the
+worker with EOFError.  Otherwise, or when the fork fails, the engine
+runs in process, as in library use.  A worker exception is raised again
+in the parent; a worker that dies without a result aborts the run (exit
+2, reason "diagnostics-worker"); no run leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ import sys
 import traceback
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # no fcntl: the snapshot pipe keeps its default size
+    fcntl = None
 
 from .bathymetry import hypothesis_report
 from .classifier import admissible_alphas, satisfies_refined_dispersion
@@ -65,6 +71,7 @@ EXIT_ABORT = 2
 EXIT_FAIL = 3
 
 CSV_BLOCK_ROWS = 4096          # rows formatted and written per block of a CSV artifact
+SNAPSHOT_PIPE_BYTES = 1 << 20  # the size asked for the worker's snapshot pipe: 16 frames at N = 4096
 DECAY_SUP_RATIO = 2.0          # sup H1 norm over the run vs initial
 DECAY_FINAL_RATIO = 0.5        # final windowed norm vs its running max
 DECAY_GROWTH_LIMIT = 0.05      # running-integral growth over the final fifth
@@ -179,6 +186,22 @@ def _write_state_csv(path: str, state: State) -> None:
     _write_csv(path, ["x", "eta", "u"], [state.grid.x, state.eta, state.u])
 
 
+def _writing_initial(path: str, feed):
+    """An observer that writes the first State it is given to path, as
+    `_write_state_csv` does, and passes every State on to feed."""
+    first = True
+
+    def observer(state: State) -> None:
+        # a flag, not an engine read: that would evaluate the pending block
+        nonlocal first
+        if first:
+            _write_state_csv(path, state)
+            first = False
+        feed(state)
+
+    return observer
+
+
 def _nanmax(values) -> float | None:
     """The largest value, NaN (stencil edges, t < T_MIN) skipped; None if
     no value is left or the largest is not finite."""
@@ -208,6 +231,19 @@ class _WorkerTraceback(Exception):
 FRAME_END, FRAME_INITIAL, FRAME_STEPPED = 0.0, 1.0, 2.0
 
 
+def _widen_pipe(fd: int) -> None:
+    """Ask for a pipe of SNAPSHOT_PIPE_BYTES behind fd, best effort: without
+    fcntl or F_SETPIPE_SZ, or when the kernel refuses (EPERM over a pipe
+    quota or cap, EBUSY), the pipe keeps its default size."""
+    setsize = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if setsize is None:
+        return
+    try:
+        fcntl.fcntl(fd, setsize, SNAPSHOT_PIPE_BYTES)
+    except OSError:
+        pass
+
+
 def _read_exactly(src, a: np.ndarray) -> None:
     """Fill a from src; EOFError if the stream ends first."""
     if src.readinto(a) != a.nbytes:
@@ -221,21 +257,29 @@ class _EngineWorker:
     pickle: a header of two float64, the frame kind and t, then the
     stacked rfft coefficients (u_hat, eta_hat), (2, N/2 + 1) complex128,
     in one write from a buffer of fixed size.  The child knows N from the
-    grid it inherited, so it reads each frame into arrays of known size,
-    and it rebuilds each State with `solver._state`, as `run` does: its
-    eta and u are bitwise the parent's.  The initial frame also carries
-    the fields (u, eta), (2, N) float64, since the initial State holds
-    the caller's fields and irfft(rfft(u0)) is not bitwise u0.
+    grid it inherited, so it reads each frame into arrays of known size.
+    It hands each stepped snapshot to the engine as `solver._state` does
+    in `run`, a State that holds the coefficients alone, whose fields the
+    engine's ladder builds (see `diagnostics._Snap`): neither process
+    transforms a stepped snapshot for its fields.  The initial frame also
+    carries the fields (u, eta), (2, N) float64, since the initial State
+    holds the caller's fields and irfft(rfft(u0)) is not bitwise u0; the
+    child writes them to `initial_csv` (`_writing_initial`) before it
+    feeds the engine, so the parent formats no CSV while it steps.
     `send(None)` writes the end frame, a header alone, so the parent does
     not wait for the child to finish its last snapshot.  A short read (the
     parent gone) ends the child with EOFError, which it returns in place
     of the table.
 
+    The snapshot pipe is asked for SNAPSHOT_PIPE_BYTES (`_widen_pipe`)
+    before the fork: a default 64 KiB pipe holds less than one N = 4096
+    frame (65 584 bytes), so each send waited for the child's read.
+
     `table` reads back `engine.table()`, pickled once with any exception
-    the child raised; `close` closes both pipes and reaps the child,
-    whatever happened.  The child writes no file and leaves only through
-    os._exit, so it never flushes the parent's stdio buffers nor runs its
-    atexit hooks.
+    the child raised (a failed write of `initial_csv` included); `close`
+    closes both pipes and reaps the child, whatever happened.  The child
+    leaves only through os._exit, so it never flushes the parent's stdio
+    buffers nor runs its atexit hooks.
 
     Right after the fork the parent pins the child to the highest CPU of
     `allowed` (the mask the parent read from `os.sched_getaffinity(0)`)
@@ -250,11 +294,12 @@ class _EngineWorker:
     the parent's mask back after reaping the child, on every exit path.
     """
 
-    def __init__(self, engine: DiagnosticsEngine, grid, allowed: set | None):
+    def __init__(self, engine: DiagnosticsEngine, grid, allowed: set | None, initial_csv: str):
         fds = []
         try:
             fds += os.pipe()
             fds += os.pipe()
+            _widen_pipe(fds[1])
             self.pid = os.fork()
         except OSError:
             for fd in fds:
@@ -266,7 +311,7 @@ class _EngineWorker:
             try:
                 os.close(snap_w)
                 os.close(back_r)
-                self._serve(engine, grid, snap_r, back_w)
+                self._serve(engine, grid, snap_r, back_w, initial_csv)
                 status = 0
             finally:
                 os._exit(status)
@@ -294,7 +339,8 @@ class _EngineWorker:
         return allowed
 
     @staticmethod
-    def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int) -> None:
+    def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int, initial_csv: str) -> None:
+        feed = _writing_initial(initial_csv, engine)
         with open(snap_r, "rb") as src, open(back_w, "wb") as dst:
             try:
                 head = np.empty(2)
@@ -308,9 +354,9 @@ class _EngineWorker:
                     if kind == FRAME_INITIAL:
                         fields = np.empty((2, grid.N))
                         _read_exactly(src, fields)
-                        engine(_carrying(State(grid, fields[1], fields[0], t), y))
+                        feed(_carrying(State(grid, fields[1], fields[0], t), y))
                     else:
-                        engine(_state(grid, y, t))
+                        feed(_state(grid, y, t))
                 reply = (engine.table(), None, None)
             except Exception as exc:
                 reply = (None, exc, traceback.format_exc())
@@ -368,10 +414,11 @@ class _EngineWorker:
             self._mask = None
 
 
-def _start_worker(engine: DiagnosticsEngine, grid) -> _EngineWorker | None:
-    """A diagnostics worker where one can run beside the stepping: with
-    os.fork, on more than one CPU this process may use, and a pipe and a
-    process to spare.  None otherwise, and the engine runs in process."""
+def _start_worker(engine: DiagnosticsEngine, grid, initial_csv: str) -> _EngineWorker | None:
+    """A diagnostics worker, which also writes initial_csv, where one can
+    run beside the stepping: with os.fork, on more than one CPU this
+    process may use, and a pipe and a process to spare.  None otherwise,
+    and the engine runs in process."""
     if not hasattr(os, "fork"):
         return None
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
@@ -379,7 +426,7 @@ def _start_worker(engine: DiagnosticsEngine, grid) -> _EngineWorker | None:
     if (cpus or 1) < 2:
         return None
     try:
-        return _EngineWorker(engine, grid, allowed)
+        return _EngineWorker(engine, grid, allowed, initial_csv)
     except OSError:  # EMFILE from os.pipe, EAGAIN or ENOMEM from os.fork
         return None
 
@@ -396,21 +443,10 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         weight_mode=d.weight_mode,
         fixed_lambda=d.fixed_lambda if d.weight_mode == "fixed" else None,
     )
-    worker = _start_worker(engine, sim.grid)
-    feed = worker.send if worker else engine
-
-    first = True
-
-    def observer(state: State):
-        # a flag, not an engine read: that would evaluate the pending block
-        nonlocal first
-        if first:
-            _write_state_csv(os.path.join(outdir, "initial_state.csv"), state)
-            first = False
-        feed(state)
-
+    initial_csv = os.path.join(outdir, "initial_state.csv")
+    worker = _start_worker(engine, sim.grid, initial_csv)
     try:
-        result = run(sim, observer=observer)
+        result = run(sim, observer=worker.send if worker else _writing_initial(initial_csv, engine))
         if worker:
             worker.send(None)  # the worker's last block overlaps the write below
         _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)

@@ -69,12 +69,17 @@ class _Snap:
     The fields are built eagerly from the states' rfft coefficients
     (zero-padded products as in Boyd 2001, ch. 11): one stacked pass to
     the 3/2 fine grid and back for the dealiased products u^2 and u eta
-    (and u h), and one stacked irfft of the whole ladder of derivatives
-    and T images, the bottom forcing rows included.  The bottom enters
-    through the spectra its sample carries, so it costs no transform of
-    its own.  Over a flat bottom every bottom field is None.  With
-    ladder=False only u, eta, their first derivatives (one stacked irfft)
-    and the densities momentum, h1 and energy are built.
+    (and u h), and one stacked irfft of the whole ladder: u and eta, their
+    derivatives and T images, the bottom forcing rows included.  The
+    bottom enters through the spectra its sample carries, so it costs no
+    transform of its own.  Over a flat bottom every bottom field is None.
+    With ladder=False only u, eta, their first derivatives (one stacked
+    irfft) and the densities momentum, h1 and energy are built.
+
+    u and eta are the rows of that irfft, bitwise `Grid.from_hat` of the
+    coefficients, so a State that holds its coefficients alone (a
+    snapshot of `run`) is never transformed for its fields; a State that
+    holds its fields keeps them (irfft(rfft(u0)) is not bitwise u0).
 
     `state` is one State, or a block: a list of B States on one grid, with
     `bs` the list of their samples.  A block costs the same 3 transforms,
@@ -85,6 +90,7 @@ class _Snap:
     `buffers` the ladder's arrays that an engine reuses from block to block.
     """
 
+    _FIELDS = ("u", "eta")
     _UV = ("du", "d2u", "cf", "cf1", "cf2", "cf3", "deta", "d2eta", "cg", "cg1", "cg2", "cg3")
     _PRODUCTS = ("T_uu", "Tdx_uu", "T_ue", "Tdx_ue", "T_uh", "Tdx_uh")
     _BOTTOM = ("T_w1", "Tdx_w1", "w1", "T_dth", "T_q", "T_q2", "big_f", "big_g")
@@ -98,12 +104,14 @@ class _Snap:
             raise ValueError("state and bathymetry samples live on different grids")
         self._integrals: dict = {}  # name tuple -> integral, see `fill`
         y = self.coeffs = np.stack([s.coeffs for s in states], axis=1)  # (2, B, N/2 + 1)
-        f = {"u": np.array([s.u for s in states]), "eta": np.array([s.eta for s in states])}
         if ladder:
-            f.update(self._ladder(g, y, samples, p, {} if buffers is None else buffers))
+            f = self._ladder(g, y, samples, p, {} if buffers is None else buffers)
         else:
-            f["du"], f["deta"] = g.from_hat(y * g._ik)
+            f = dict(zip(self._FIELDS + ("du", "deta"), g.from_hat(np.concatenate((y, y * g._ik)))))
         u, eta, du, deta = f["u"], f["eta"], f["du"], f["deta"]
+        for i, s in enumerate(states):
+            if "u" in vars(s):  # it holds its fields (see the class docstring)
+                u[i], eta[i] = s.u, s.eta
         uu, ee, dudu, dede = u**2, eta**2, du**2, deta**2
         f["momentum"] = u * eta + du * deta
         f["h1"] = uu + ee + dudu + dede
@@ -123,8 +131,8 @@ class _Snap:
             spectra = np.stack([b.spectra for b in samples], axis=1)
             h_hat, (T_q, T_w1) = _bottom_forcing(g, p, spectra)
             y = np.concatenate((y, h_hat[None]))
-        split = 12 + 2 * len(y)  # the rows of u, eta and the products come first
-        names = cls._UV + cls._PRODUCTS[: split - 12] + (() if zero else cls._BOTTOM)
+        split = 14 + 2 * len(y)  # the rows of u, eta and the products come first
+        names = cls._FIELDS + cls._UV + cls._PRODUCTS[: split - 14] + (() if zero else cls._BOTTOM)
         shape = (len(names),) + y.shape[1:]
         if shape not in buffers:  # the ladder's spectra and fields, and the products' work arrays
             buffers[shape] = (np.empty(shape, complex), np.empty(shape[:-1] + (g.N,)),
@@ -132,12 +140,13 @@ class _Snap:
         rows, fields, work = buffers[shape]
         prods = g._dealiased_products(y, work)  # u^2, u eta [, u h]
         prods *= g._product_scale
-        # d, d2, T, T d, T d2, T d3 of u and eta; T and T d of each product
+        # u and eta; d, d2, T, T d, T d2, T d3 of each; T and T d of each product
         tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
         images = np.stack((helm, ik * helm))[:, None]
-        np.multiply(y[0], tower, out=rows[:6])
-        np.multiply(y[1], tower, out=rows[6:12])
-        np.multiply(prods[:, None], images, out=rows[12:split].reshape((-1, 2) + y.shape[1:]))
+        rows[:2] = y[:2]
+        np.multiply(y[0], tower, out=rows[2:8])
+        np.multiply(y[1], tower, out=rows[8:14])
+        np.multiply(prods[:, None], images, out=rows[14:split].reshape((-1, 2) + y.shape[1:]))
         if not zero:
             np.stack((
                 T_w1, ik * T_w1, (1.0 + g.k2) * T_w1,  # T w1, T dx w1, w1 = (1 - dxx) T w1

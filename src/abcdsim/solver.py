@@ -12,16 +12,18 @@ bottom derivatives enter as analytic samples, so no spectral derivative
 of h is ever taken.
 
 `run` carries the rfft coefficients of (u, eta) from step to step and
-builds a physical State only at snapshots; that State carries the
-coefficients too, so an observer needs no forward transform of u or
-eta.  The kernel steps in a workspace it allocates once per grid: the
-transforms (the pocketfft pair bound in `grid.py`, the inverse
-unnormalized) write into it, the scale of the 3/2-rule products rides in
-the kernel's quadratic symbols, the separable bottom enters as three
-scalars per stage time that scale its unit-tau spectra into it, the RK4
-scalars enter as 0-d complex arrays made once per dt, and each step
-allocates only the fresh array of coefficients it returns.  `rhs` and
-`step_rk4` are physical-space adapters over the same kernel.
+hands each stepped snapshot over as a State that holds only those
+coefficients: its guards read them, and eta and u are built on first
+read (see `State`), so a snapshot that no caller reads in physical space
+costs no inverse transform.  The kernel steps in a workspace it
+allocates once per grid: the transforms (the pocketfft pair bound in
+`grid.py`, the inverse unnormalized) write into it, the scale of the
+3/2-rule products rides in the kernel's quadratic symbols, the separable
+bottom enters as one multiply per stage time of its three stacked
+unit-tau rows by their scales, the RK4 scalars enter as 0-d complex
+arrays made once per dt, and each step allocates only the fresh array of
+coefficients it returns.  `rhs` and `step_rk4` are physical-space
+adapters over the same kernel.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ class State:
     """Surface displacement eta and velocity u on a grid at time t.
 
     eta and u are read-only: the constructor and a rebinding copy the
-    arrays given (a snapshot of `run` binds its fresh fields as they are),
-    and rebinding either drops the cached coefficients, so `coeffs`
-    always describes the fields.
+    arrays given, and rebinding either drops the cached coefficients, so
+    `coeffs` always describes the fields.  A snapshot of `run` holds its
+    coefficients alone (see `_state`): it builds eta and u on first read,
+    bitwise `Grid.from_hat(coeffs)`, as two views of one read-only (2, N)
+    array that it keeps.
     """
 
     grid: Grid
@@ -88,8 +92,24 @@ class State:
         if name in ("eta", "u"):
             value = np.array(self.grid.check(value), dtype=float)
             value.flags.writeable = False
-            self.__dict__.pop("coeffs", None)
+            if "coeffs" in self.__dict__:
+                if "u" not in self.__dict__:
+                    self._build_fields()  # the other field outlives the coefficients
+                del self.__dict__["coeffs"]
         super().__setattr__(name, value)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set, as eta and u of a State
+        # that holds its coefficients alone
+        if name in ("eta", "u") and "coeffs" in self.__dict__:
+            self._build_fields()
+            return self.__dict__[name]
+        raise AttributeError(f"'State' object has no attribute {name!r}")
+
+    def _build_fields(self) -> None:
+        fields = self.grid.from_hat(self.coeffs)
+        fields.flags.writeable = False
+        self.__dict__.update(u=fields[0], eta=fields[1])
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -113,6 +133,15 @@ def _carrying(s: State, y) -> State:
     return s
 
 
+def _state(g: Grid, y, t: float) -> State:
+    """State at time t that holds the stacked coefficients (u_hat, eta_hat)
+    alone: no transform, no copy, no `Grid.check`.  Its eta and u are
+    built on first read (see `State`)."""
+    s = State.__new__(State)
+    s.__dict__.update(grid=g, t=t)
+    return _carrying(s, y)
+
+
 def _h1_norm(g: Grid, y):
     """H1 x H1 norm of the fields whose rfft coefficients are the rows of y;
     of a (2, B, N/2 + 1) block, one norm per snapshot."""
@@ -124,20 +153,6 @@ def _h1_norm(g: Grid, y):
 def state_h1_norm(s: State) -> float:
     """H1 x H1 norm of (eta, u), computed spectrally."""
     return float(_h1_norm(s.grid, s.coeffs))
-
-
-def _state(g: Grid, y, t: float) -> State:
-    """Physical state at time t carrying the stacked coefficients (u_hat, eta_hat).
-
-    The fields are the rows of the fresh inverse transform of y, frozen and
-    bound as they are: no copy, no `Grid.check`.  Both are views of one
-    (2, N) array, `State.u.base`.
-    """
-    fields = g.from_hat(y)
-    fields.flags.writeable = False
-    s = State.__new__(State)
-    s.__dict__.update(grid=g, eta=fields[1], u=fields[0], t=t)
-    return _carrying(s, y)
 
 
 def _bottom_forcing(g: Grid, p: AbcdParams, spectra):
@@ -184,13 +199,13 @@ class _Kernel:
     over a flat bottom; `at` scales it to a time.
 
     Each kernel owns a workspace, allocated once from its grid: the
-    buffers of the dealiased products, tau h_hat below Nyquist and the
-    scaled forcing of the current time, the stage input and the four
-    stage tendencies.  Over a bottom, (u_hat, eta_hat + tau h_hat) is
-    written straight into the products' padded spectrum.  A step runs in
-    it with the operations, and their order, of the plain RK4 formula and
-    returns a fresh array, since a snapshot State freezes the
-    coefficients it carries.
+    buffers of the dealiased products, the bottom's unit rows and their
+    scaled rows at the current time (tau h_hat below Nyquist, the
+    forcing), the stage input and the four stage tendencies.  Over a
+    bottom, (u_hat, eta_hat + tau h_hat) is written straight into the
+    products' padded spectrum.  A step runs in it with the operations,
+    and their order, of the plain RK4 formula and returns a fresh array,
+    since a snapshot State freezes the coefficients it carries.
     """
 
     def __init__(self, g: Grid, p: AbcdParams, bottom=None):
@@ -201,17 +216,28 @@ class _Kernel:
         self.bottom = bottom
         shape = self.lin.shape
         self._products = g._product_buffers(shape)
-        self._h = np.empty(shape[-1] - 1, complex)
-        self._scaled, self._stage = np.empty((2,) + shape, complex)
+        # the bottom's unit rows (h_hat zero at Nyquist, T q, T w1), the column
+        # of their scales at one time, its rows and their product: tau h_hat and
+        # the forcing.  The scales are spread over whole rows because numpy
+        # buffers a broadcast multiply: a temporary of the rows' size per call
+        self._unit = np.zeros((3, shape[-1]), complex)
+        if bottom is not None:
+            self._unit[0, :-1] = bottom[0][:-1]
+            self._unit[1:] = bottom[1]
+        self._column = np.zeros((3, 1), complex)
+        self._column_re = self._column.real[:, 0]  # filled from floats: no complex cast per call
+        self._scales, self._bottom_rows = np.empty((2,) + self._unit.shape, complex)
+        self._h, self._scaled = self._bottom_rows[0, :-1], self._bottom_rows[1:]
+        self._stage = np.empty(shape, complex)
         self._k = tuple(np.empty((4,) + shape, complex))
         self._dt = None  # the dt of `_dts`
 
     def at(self, scales) -> None:
-        """Scale the bottom to the time of `scales` = (tau, c1 tau'', tau')."""
-        (h_hat, force), (tau, c1_tau2, dtau) = self.bottom, scales
-        np.multiply(tau, h_hat[:-1], out=self._h)
-        np.multiply(c1_tau2, force[0], out=self._scaled[0])
-        np.multiply(dtau, force[1], out=self._scaled[1])
+        """Scale the bottom to the time of `scales` = (tau, c1 tau'', tau'):
+        one multiply of its unit rows by the rows of the three."""
+        self._column_re[:] = scales
+        np.copyto(self._scales, self._column)
+        np.multiply(self._scales, self._unit, out=self._bottom_rows)
 
     def __call__(self, y, out):
         """The tendency of y into out, over the bottom at the time of the last `at`."""
@@ -350,7 +376,9 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     The observer, if given, is called with every snapshot State (the
     initial state included) and snapshots are not retained; otherwise
-    they are collected in the result.  Aborts with CflViolation before
+    they are collected in the result.  The initial State holds the
+    caller's fields; every later one, `final_state` included, holds its
+    coefficients alone and builds its fields on first read.  Aborts with CflViolation before
     stepping if dt violates the CFL bound, and with BlowUp/NonFinite at
     snapshot checks during the run.
     """
@@ -385,15 +413,18 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
         # times from the step index avoid accumulated roundoff in t
         y = kernel.step(y, cfg.t_start + (n - 1) * cfg.dt, cfg.dt, clock)
         if n in snapshots:
-            s = _state(g, y, cfg.t_start + n * cfg.dt)
-            if not np.isfinite(s.u.base).all():  # u and eta: the rows of one array
-                raise NonFinite(f"non-finite field values at t={s.t}")
+            t = cfg.t_start + n * cfg.dt
+            # the guards read the coefficients: fields that would overflow from
+            # finite ones have an infinite H1 norm, which trips BlowUp
+            if not np.isfinite(y).all():
+                raise NonFinite(f"non-finite field values at t={t}")
             if norm0 > 0.0:
                 norm = float(_h1_norm(g, y))
                 if norm > cfg.blowup_factor * norm0:
                     raise BlowUp(
-                        f"H1 norm {norm} exceeded {cfg.blowup_factor} x initial {norm0} at t={s.t}"
+                        f"H1 norm {norm} exceeded {cfg.blowup_factor} x initial {norm0} at t={t}"
                     )
+            s = _state(g, y, t)
             observer(s)
     result.final_state = s
     result.n_steps = n_total

@@ -430,7 +430,8 @@ class TestDiagnosticsWorker:
         with open(snap_w, "wb") as fh:  # the header and half the coefficient block
             fh.write(np.array([cli.FRAME_STEPPED, 0.5]).tobytes() + coeffs[: len(coeffs) // 2])
         serve = threading.Thread(target=cli._EngineWorker._serve,
-                                 args=(engine, sim.grid, snap_r, back_w), daemon=True)
+                                 args=(engine, sim.grid, snap_r, back_w,
+                                       str(tmp_path / "run" / "initial_state.csv")), daemon=True)
         serve.start()
         serve.join(timeout=10.0)
         assert not serve.is_alive(), "the worker hangs on a truncated frame"
@@ -573,6 +574,93 @@ class TestDiagnosticsWorker:
         in_process = self._run(tmp_path, capsys, "in-process", IDENTITY_TEXT, False)
         assert forked[0] == in_process[0] == [0]
         assert forked[1] == in_process[1] and forked[2] == in_process[2]
+
+    def test_the_worker_writes_the_initial_csv_with_the_in_process_bytes(self, tmp_path, capsys,
+                                                                        monkeypatch, worker_forks):
+        # each process that writes a state CSV leaves a marker naming itself
+        writers, write = tmp_path / "writers", cli._write_state_csv
+        writers.mkdir()
+
+        def marked(path, state):
+            (writers / f"{os.getpid()}-{os.path.basename(path)}").touch()
+            write(path, state)
+
+        monkeypatch.setattr(cli, "_write_state_csv", marked)
+        forked = self._run(tmp_path, capsys, "forked", SCHEDULED_FROM_ZERO_TEXT, False)
+        (pid,) = worker_forks.pids
+        assert sorted(p.name for p in writers.iterdir()) == sorted(
+            [f"{pid}-initial_state.csv", f"{os.getpid()}-final_state.csv"])
+        monkeypatch.delattr(os, "fork")
+        in_process = self._run(tmp_path, capsys, "in-process", SCHEDULED_FROM_ZERO_TEXT, False)
+        assert forked[0] == in_process[0] == [3] and forked[2] == in_process[2]
+        assert forked[2]["initial_state.csv"].startswith(b"x,eta,u\n")
+
+    def test_the_parent_transforms_no_stepped_snapshot(self, tmp_path, capsys, worker_forks,
+                                                       transform_calls):
+        # the parent steps and sends coefficients: its one inverse transform
+        # on the coarse grid builds the final state's fields for final_state.csv
+        codes, _, files = self._run(tmp_path, capsys, "forked", IDENTITY_TEXT, False)
+        assert codes == [0] and len(worker_forks.pids) == 1 and "final_state.csv" in files
+        coarse = [a.shape for name, a in transform_calls if name == "_irfft" and a.shape[-1] == 128 // 2 + 1]
+        assert coarse == [(2, 65)]
+
+    def test_a_failed_initial_csv_write_in_the_worker_reaches_the_caller(self, tmp_path, monkeypatch,
+                                                                         worker_forks):
+        parent, write = os.getpid(), cli._write_state_csv
+
+        def full_disk(path, state):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(path, state)
+
+        monkeypatch.setattr(cli, "_write_state_csv", full_disk)
+        out = tmp_path / "run"
+        with pytest.raises(OSError, match="No space left on device") as info:
+            main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=out)])
+        assert len(worker_forks.pids) == 1
+        assert isinstance(info.value.__cause__, cli._WorkerTraceback)
+        assert "in full_disk" in str(info.value.__cause__)
+        assert not (out / "initial_state.csv").exists() and not (out / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("how", ["refused", "no-constant", "no-fcntl"])
+    def test_a_refused_pipe_size_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                                        worker_forks, how):
+        # frames over a default pipe: every send then waits for the worker's read
+        calls = []
+
+        def refuse(fd, cmd, size):
+            calls.append(size)
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        fake = {"refused": types.SimpleNamespace(F_SETPIPE_SZ=1031, fcntl=refuse),
+                "no-constant": types.SimpleNamespace(fcntl=refuse),
+                "no-fcntl": None}[how]
+        monkeypatch.setattr(cli, "fcntl", fake)
+        forked = self._run(tmp_path, capsys, "forked", FRAMES_OVER_THE_PIPE_TEXT, False)
+        assert len(worker_forks.pids) == 1
+        assert calls == ([cli.SNAPSHOT_PIPE_BYTES] if how == "refused" else [])
+        monkeypatch.delattr(os, "fork")
+        in_process = self._run(tmp_path, capsys, "in-process", FRAMES_OVER_THE_PIPE_TEXT, False)
+        assert forked[0] == in_process[0] == [0]
+        assert forked[1] == in_process[1] and forked[2] == in_process[2]
+
+    def test_a_granted_pipe_holds_two_frames_at_n4096(self, tmp_path, capsys, monkeypatch, worker_forks):
+        getsize = getattr(cli.fcntl, "F_GETPIPE_SZ", None)
+        if getsize is None:
+            pytest.skip("no F_GETPIPE_SZ to read a pipe's size")
+        sizes, widen = [], cli._widen_pipe
+
+        def measured(fd):
+            widen(fd)
+            sizes.append(cli.fcntl.fcntl(fd, getsize))
+
+        monkeypatch.setattr(cli, "_widen_pipe", measured)
+        codes, _, _ = self._run(tmp_path, capsys, "forked", FRAMES_OVER_THE_PIPE_TEXT, False)
+        assert codes == [0] and len(sizes) == 1
+        if sizes[0] < cli.SNAPSHOT_PIPE_BYTES:
+            pytest.skip(f"the kernel kept the pipe at {sizes[0]} bytes")
+        frame = 8 * (2 + 4 * (4096 // 2 + 1))
+        assert frame == 65584 and sizes[0] >= 2 * frame
 
     def test_this_process_steps_off_the_worker_cpu_and_gets_its_mask_back(self, tmp_path, monkeypatch):
         if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:

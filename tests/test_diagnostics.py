@@ -664,3 +664,53 @@ class TestEngineMatchesPublicFunctions:
         t = eng.series("t")
         running = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(t))])
         assert list(running) == list(eng.series("running_decay_integral"))
+
+
+class TestCoefficientStates:
+    """The engine builds u and eta of a State that holds its coefficients
+    alone as two rows of its ladder: the same table, bit for bit, as from
+    States whose fields were built first, at the same 3 transforms a block."""
+
+    P = AbcdParams(a=-1.0, c=-1.0, a1=0.3, c1=0.56)
+
+    @pytest.mark.parametrize("bottom, mode, t_start", [
+        (flat_bottom(), dict(weight_mode="fixed", fixed_lambda=10.0), 0.0),
+        (decaying_bump(1e-2, width=2.0, t0=11.0), dict(weight_mode="schedule"), 11.0),
+    ], ids=["flat-fixed", "bump-schedule"])
+    def test_the_table_is_that_of_materialized_states(self, bottom, mode, t_start, transform_calls):
+        g = Grid(40 * np.pi, 256)
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        cfg = SimConfig(params=self.P, bathymetry=bottom, grid=g, eta0=eta, u0=u, dt=1e-3,
+                        t_start=t_start, t_end=t_start + 0.1, snapshot_every=5)
+        lazy, built = run(cfg).snapshots, run(cfg).snapshots
+        for s in built:
+            s.u  # builds both fields
+        assert all("u" in vars(s) for s in built)
+        tables = []
+        for states in (lazy, built):
+            eng = DiagnosticsEngine(self.P, bottom, alpha=0.5, **mode)
+            transform_calls.clear()
+            for s in states:
+                eng(s)
+            tables.append(eng.table())
+            assert len(transform_calls) == 3 * 3  # 21 snapshots: blocks of 8, 8 and 5
+        assert all("u" not in vars(s) for s in lazy[1:])  # the engine left them as they were
+        assert tables[0].keys() == tables[1].keys()
+        for name in tables[0]:
+            assert np.array_equal(tables[0][name], tables[1][name], equal_nan=True), name
+
+    def test_first_derivatives_alone_build_the_fields_too(self, grid40, transform_calls):
+        # decay_metrics reads u and eta from the one stacked irfft of its block
+        g = grid40
+        eta, u = gaussian_pair(g, eps=1e-2, width=5.0)
+        cfg = SimConfig(params=self.P, bathymetry=flat_bottom(), grid=g, eta0=eta, u0=u, dt=1e-3,
+                        t_start=12.0, t_end=12.02, snapshot_every=5)
+        lazy, built = run(cfg).snapshots[1:], run(cfg).snapshots[1:]
+        for s in built:
+            s.eta
+        transform_calls.clear()
+        got = decay_metrics(lazy)
+        assert [name for name, _ in transform_calls] == ["_irfft"]
+        want = decay_metrics(built)
+        for field in ("windowed", "interval", "running_integral", "hcal"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field

@@ -642,3 +642,89 @@ class TestStateCoefficients:
     def test_copy_carries_the_coefficients(self, grid):
         seen, _ = self._snapshots(grid)
         self._check_copy(seen[-1])
+
+
+class TestCoefficientSnapshots:
+    """`run` hands each stepped snapshot over as a State that holds its
+    coefficients alone: the guards read them, and the fields are built
+    only when a caller reads them."""
+
+    P = AbcdParams(a=-1.0, c=-0.5, a1=0.3, c1=0.6)
+
+    def _config(self, grid, bottom, **kw):
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        return SimConfig(params=self.P, bathymetry=bottom, grid=grid, eta0=eta0, u0=u0,
+                         dt=1e-2, t_end=kw.pop("t_end", 0.1), **kw)
+
+    @pytest.mark.parametrize("bottom", [flat_bottom(), decaying_bump(1e-3, width=1.0)],
+                             ids=["flat", "bump"])
+    def test_no_inverse_transform_at_a_stepped_snapshot(self, grid, bottom, transform_calls):
+        # a snapshot at every step, read by t and coeffs only: 8 transforms a
+        # step and the initial state's one rfft, nothing at the snapshots
+        cfg = self._config(grid, bottom, snapshot_every=1)
+        run(cfg)  # builds the bottom's spectra for this grid once
+        transform_calls.clear()
+        seen = []
+        res = run(cfg, observer=lambda s: seen.append((s.t, s.coeffs)))
+        assert len(seen) == 11 and res.n_steps == 10
+        assert len(transform_calls) == 8 * 10 + 1
+        coarse = grid.N // 2 + 1
+        assert not any(name == "_irfft" and a.shape[-1] == coarse for name, a in transform_calls)
+        assert "u" not in vars(res.final_state) and "eta" not in vars(res.final_state)
+
+    def test_fields_are_built_once_read_only_and_bitwise_from_hat(self, grid, transform_calls):
+        seen, res = TestStateCoefficients()._snapshots(grid)
+        assert "u" in vars(seen[0])  # the caller's fields
+        for s in seen[1:]:
+            assert "u" not in vars(s) and "eta" not in vars(s)
+            transform_calls.clear()
+            eta = s.eta
+            assert [name for name, _ in transform_calls] == ["_irfft"]
+            u = s.u
+            assert s.eta is eta and s.u is u and len(transform_calls) == 1
+            assert u.base is eta.base  # the rows of one array
+            want = grid.from_hat(s.coeffs)
+            assert np.array_equal(u, want[0]) and np.array_equal(eta, want[1])
+            assert not (u.flags.writeable or eta.flags.writeable or u.base.flags.writeable)
+        with pytest.raises(AttributeError):
+            seen[1].h
+
+    def test_rebinding_one_field_keeps_the_other(self, grid):
+        seen, _ = TestStateCoefficients()._snapshots(grid)
+        s = seen[-1]
+        u = grid.from_hat(s.coeffs)[0]
+        s.eta = np.zeros(grid.N)
+        assert np.array_equal(s.u, u) and not s.u.flags.writeable
+        npt.assert_array_equal(s.coeffs[1], 0.0)
+
+    @staticmethod
+    def _spoiling(monkeypatch, at_step, spoil):
+        import abcdsim.solver as solver
+
+        step, steps = solver._Kernel.step, []
+
+        def spoiled(kernel, *args):
+            y = step(kernel, *args)
+            steps.append(1)
+            return spoil(y) if len(steps) == at_step else y
+
+        monkeypatch.setattr(solver._Kernel, "step", spoiled)
+
+    def test_nan_in_the_coefficients_stops_the_run_at_the_next_snapshot(self, grid, monkeypatch):
+        def nan(y):
+            y[1, 3] = np.nan
+            return y
+
+        self._spoiling(monkeypatch, 3, nan)
+        seen = []
+        with pytest.raises(NonFinite, match=r"at t=0\.04\b") as info:
+            run(self._config(grid, flat_bottom(), snapshot_every=2), observer=seen.append)
+        assert info.value.reason == "nonfinite"
+        assert [s.t for s in seen] == [0.0, 0.02]  # the spoiled state is never handed over
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_coefficients_of_infinite_norm_trip_blowup(self, grid, monkeypatch):
+        # fields that would overflow from finite coefficients: the H1 norm is inf
+        self._spoiling(monkeypatch, 2, lambda y: y * 1e300)
+        with pytest.raises(BlowUp, match=r"H1 norm inf .* at t=0\.02\b"):
+            run(self._config(grid, flat_bottom(), snapshot_every=1))
