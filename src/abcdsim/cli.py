@@ -7,24 +7,26 @@ platform: floats use 17 significant digits, JSON keys are sorted, and
 nothing timestamp-like is emitted.
 
 A run that writes diagnostics (identity suite, decay run) evaluates them
-in one forked worker process when `os.fork` exists and the process may
-run on more than one CPU: the parent only steps, guards and writes each
-snapshot to a pipe asked for 1 MiB as one raw frame (its kind and t,
-then the stacked rfft coefficients; the initial frame the fields too).
-The worker writes `initial_state.csv` from the initial frame, hands each
-snapshot to the same `DiagnosticsEngine` as the State `run` hands over,
-whose fields the engine's ladder builds, and pipes back its table, so
-the diagnostics of one snapshot overlap the steps to the next and every
-artifact keeps its bytes.  Right after the fork the parent pins the
-worker to the highest-numbered CPU of its affinity mask and itself to
-the rest, and puts its mask back once the worker is reaped: left to the
-scheduler, the woken worker often shared the parent's CPU and its blocks
-stalled the stepping once a block.  Pinning is best effort: where it is
-missing or refused the run goes on unpinned.  A frame cut short ends the
-worker with EOFError.  Otherwise, or when the fork fails, the engine
-runs in process, as in library use.  A worker exception is raised again
-in the parent; a worker that dies without a result aborts the run (exit
-2, reason "diagnostics-worker"); no run leaves a child process behind.
+in one worker process, forked at `run`'s initial snapshot when `os.fork`
+exists and the process may run on more than one CPU; a run refused by
+the CFL guard forks none.  The worker inherits the initial State and
+writes `initial_state.csv` from it; the parent only steps, guards and
+writes each later snapshot to a pipe asked for 1 MiB as one raw frame
+(t, then the stacked rfft coefficients).  The worker reads one frame per
+stepped snapshot, hands each to the same `DiagnosticsEngine` as the
+State `run` hands over, whose fields the engine's ladder builds, and
+pipes back its table, so the diagnostics of one snapshot overlap the
+steps to the next and every artifact keeps its bytes.  Right after the
+fork the parent pins the worker to the highest-numbered CPU of its
+affinity mask and itself to the rest, and puts its mask back once the
+worker is reaped: left to the scheduler, the woken worker often shared
+the parent's CPU and its blocks stalled the stepping once a block.
+Pinning is best effort: where it is missing or refused the run goes on
+unpinned.  A stream that ends before the last frame ends the worker with
+EOFError.  Otherwise, or when the fork fails, the engine runs in
+process, as in library use.  A worker exception is raised again in the
+parent; a worker that dies without a result aborts the run (exit 2,
+reason "diagnostics-worker"); no run leaves a child process behind.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .config import (
     resolve_output_dir,
 )
 from .diagnostics import DiagnosticsEngine
-from .solver import SimulationAbort, State, _carrying, _state, run
+from .solver import SimulationAbort, State, _state, run
 
 __all__ = ["main"]
 
@@ -75,6 +77,9 @@ SNAPSHOT_PIPE_BYTES = 1 << 20  # the size asked for the worker's snapshot pipe: 
 DECAY_SUP_RATIO = 2.0          # sup H1 norm over the run vs initial
 DECAY_FINAL_RATIO = 0.5        # final windowed norm vs its running max
 DECAY_GROWTH_LIMIT = 0.05      # running-integral growth over the final fifth
+
+# the diagnostics.csv columns that `report` reads
+REPORT_COLUMNS = ("t", "h1_norm", "windowed_h1", "running_decay_integral")
 
 # residual_maxima keys an identity suite must report with a finite value
 PROMISED_RESIDUALS = (
@@ -186,22 +191,6 @@ def _write_state_csv(path: str, state: State) -> None:
     _write_csv(path, ["x", "eta", "u"], [state.grid.x, state.eta, state.u])
 
 
-def _writing_initial(path: str, feed):
-    """An observer that writes the first State it is given to path, as
-    `_write_state_csv` does, and passes every State on to feed."""
-    first = True
-
-    def observer(state: State) -> None:
-        # a flag, not an engine read: that would evaluate the pending block
-        nonlocal first
-        if first:
-            _write_state_csv(path, state)
-            first = False
-        feed(state)
-
-    return observer
-
-
 def _nanmax(values) -> float | None:
     """The largest value, NaN (stencil edges, t < T_MIN) skipped; None if
     no value is left or the largest is not finite."""
@@ -212,10 +201,6 @@ def _nanmax(values) -> float | None:
 
 # -- shared run machinery ------------------------------------------------
 
-def _params_meta(p) -> dict:
-    return {"a": p.a, "c": p.c, "a1": p.a1, "c1": p.c1, "origin": p.origin}
-
-
 class DiagnosticsWorkerDied(SimulationAbort):
     """The diagnostics worker ended without returning the table or an exception."""
 
@@ -225,10 +210,6 @@ class DiagnosticsWorkerDied(SimulationAbort):
 class _WorkerTraceback(Exception):
     """The traceback text of an exception raised in the diagnostics worker;
     the cause of that exception when it is raised again in the parent."""
-
-
-# the kind in the header of a frame of the snapshot stream (see _EngineWorker)
-FRAME_END, FRAME_INITIAL, FRAME_STEPPED = 0.0, 1.0, 2.0
 
 
 def _widen_pipe(fd: int) -> None:
@@ -247,39 +228,39 @@ def _widen_pipe(fd: int) -> None:
 def _read_exactly(src, a: np.ndarray) -> None:
     """Fill a from src; EOFError if the stream ends first."""
     if src.readinto(a) != a.nbytes:
-        raise EOFError("the snapshot stream ended inside a frame")
+        raise EOFError("the snapshot stream ended before the last frame")
 
 
 class _EngineWorker:
-    """A DiagnosticsEngine fed in a forked child process.
+    """A DiagnosticsEngine fed in a child process forked at `run`'s initial snapshot.
 
-    `send` writes each snapshot to the child as one raw frame, with no
-    pickle: a header of two float64, the frame kind and t, then the
-    stacked rfft coefficients (u_hat, eta_hat), (2, N/2 + 1) complex128,
-    in one write from a buffer of fixed size.  The child knows N from the
-    grid it inherited, so it reads each frame into arrays of known size.
-    It hands each stepped snapshot to the engine as `solver._state` does
-    in `run`, a State that holds the coefficients alone, whose fields the
-    engine's ladder builds (see `diagnostics._Snap`): neither process
-    transforms a stepped snapshot for its fields.  The initial frame also
-    carries the fields (u, eta), (2, N) float64, since the initial State
-    holds the caller's fields and irfft(rfft(u0)) is not bitwise u0; the
-    child writes them to `initial_csv` (`_writing_initial`) before it
-    feeds the engine, so the parent formats no CSV while it steps.
-    `send(None)` writes the end frame, a header alone, so the parent does
-    not wait for the child to finish its last snapshot.  A short read (the
-    parent gone) ends the child with EOFError, which it returns in place
-    of the table.
+    The child inherits the initial State, which holds the caller's fields
+    and their coefficients: it writes `initial_csv` from it and feeds it
+    to the engine before it reads a frame, so the parent formats no CSV
+    while it steps.  `send` writes each stepped snapshot to the child as
+    one raw frame, with no pickle: t as one float64, then the stacked rfft
+    coefficients (u_hat, eta_hat), (2, N/2 + 1) complex128, in one write
+    from a buffer of fixed size.  The child knows N from the grid and
+    `n_frames`, the run's number of stepped snapshots, from the caller, so
+    it reads exactly that many frames into arrays of known size and then
+    evaluates the table: there is no end frame, and the parent does not
+    wait for the child to finish its last snapshot.  It hands each frame
+    to the engine as `solver._state` does in `run`, a State that holds
+    the coefficients alone, whose fields the engine's ladder builds (see
+    `diagnostics._Snap`): neither process transforms a stepped snapshot
+    for its fields.  A stream that ends before the last frame (a frame cut
+    short, or the parent gone) ends the child with EOFError, which it
+    returns in place of the table.
 
     The snapshot pipe is asked for SNAPSHOT_PIPE_BYTES (`_widen_pipe`)
     before the fork: a default 64 KiB pipe holds less than one N = 4096
-    frame (65 584 bytes), so each send waited for the child's read.
+    frame (65 576 bytes), so each send waited for the child's read.
 
     `table` reads back `engine.table()`, pickled once with any exception
     the child raised (a failed write of `initial_csv` included); `close`
     closes both pipes and reaps the child, whatever happened.  The child
-    leaves only through os._exit, so it never flushes the parent's stdio
-    buffers nor runs its atexit hooks.
+    leaves only through os._exit, so it never returns into `run`, flushes
+    the parent's stdio buffers nor runs its atexit hooks.
 
     Right after the fork the parent pins the child to the highest CPU of
     `allowed` (the mask the parent read from `os.sched_getaffinity(0)`)
@@ -294,7 +275,8 @@ class _EngineWorker:
     the parent's mask back after reaping the child, on every exit path.
     """
 
-    def __init__(self, engine: DiagnosticsEngine, grid, allowed: set | None, initial_csv: str):
+    def __init__(self, engine: DiagnosticsEngine, initial: State, n_frames: int, allowed: set | None,
+                 initial_csv: str):
         fds = []
         try:
             fds += os.pipe()
@@ -311,7 +293,7 @@ class _EngineWorker:
             try:
                 os.close(snap_w)
                 os.close(back_r)
-                self._serve(engine, grid, snap_r, back_w, initial_csv)
+                self._serve(engine, initial, n_frames, snap_r, back_w, initial_csv)
                 status = 0
             finally:
                 os._exit(status)
@@ -319,10 +301,9 @@ class _EngineWorker:
         os.close(back_w)
         self._to = open(snap_w, "wb")
         self._from = open(back_r, "rb")
-        # one buffer, written whole: the header (kind, t), then the coefficients
-        self._frame = np.empty(2 + 4 * (grid.N // 2 + 1))
-        self._head, self._coeffs = self._frame[:2], self._frame[2:].view(complex).reshape(2, -1)
-        self._kind = FRAME_INITIAL
+        # one buffer, written whole: t, then the coefficients
+        self._frame = np.empty(1 + 4 * (initial.grid.N // 2 + 1))
+        self._coeffs = self._frame[1:].view(complex).reshape(2, -1)
         self._mask = self._pin(allowed)
 
     def _pin(self, allowed: set | None) -> set | None:
@@ -339,43 +320,29 @@ class _EngineWorker:
         return allowed
 
     @staticmethod
-    def _serve(engine: DiagnosticsEngine, grid, snap_r: int, back_w: int, initial_csv: str) -> None:
-        feed = _writing_initial(initial_csv, engine)
+    def _serve(engine: DiagnosticsEngine, initial: State, n_frames: int, snap_r: int, back_w: int,
+               initial_csv: str) -> None:
+        g = initial.grid
         with open(snap_r, "rb") as src, open(back_w, "wb") as dst:
             try:
-                head = np.empty(2)
-                while True:
-                    _read_exactly(src, head)
-                    kind, t = head[0], float(head[1])
-                    if kind == FRAME_END:
-                        break
-                    y = np.empty((2, grid.N // 2 + 1), complex)  # fresh: the engine keeps a block of States
+                _write_state_csv(initial_csv, initial)
+                engine(initial)
+                t = np.empty(1)
+                for _ in range(n_frames):
+                    y = np.empty((2, g.N // 2 + 1), complex)  # fresh: the engine keeps a block of States
+                    _read_exactly(src, t)
                     _read_exactly(src, y)
-                    if kind == FRAME_INITIAL:
-                        fields = np.empty((2, grid.N))
-                        _read_exactly(src, fields)
-                        feed(_carrying(State(grid, fields[1], fields[0], t), y))
-                    else:
-                        feed(_state(grid, y, t))
+                    engine(_state(g, y, float(t[0])))
                 reply = (engine.table(), None, None)
             except Exception as exc:
                 reply = (None, exc, traceback.format_exc())
             pickle.dump(reply, dst, pickle.HIGHEST_PROTOCOL)
 
-    def send(self, state: State | None) -> None:
-        if state is None:  # a header alone, which fits in the pipe while the child works
-            self._head[0] = FRAME_END
-            parts = [self._head]
-        else:
-            self._head[:] = self._kind, state.t
-            self._coeffs[...] = state.coeffs
-            parts = [self._frame]
-            if self._kind == FRAME_INITIAL:
-                parts.append(np.stack((state.u, state.eta)))
-                self._kind = FRAME_STEPPED
+    def send(self, state: State) -> None:
+        self._frame[0] = state.t
+        self._coeffs[...] = state.coeffs
         try:
-            for part in parts:
-                self._to.write(part)
+            self._to.write(self._frame)
             self._to.flush()
         except BrokenPipeError:  # the child has ended: say why
             self.table()
@@ -414,21 +381,44 @@ class _EngineWorker:
             self._mask = None
 
 
-def _start_worker(engine: DiagnosticsEngine, grid, initial_csv: str) -> _EngineWorker | None:
-    """A diagnostics worker, which also writes initial_csv, where one can
-    run beside the stepping: with os.fork, on more than one CPU this
-    process may use, and a pipe and a process to spare.  None otherwise,
-    and the engine runs in process."""
-    if not hasattr(os, "fork"):
-        return None
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    cpus = len(allowed) if allowed is not None else os.cpu_count()
-    if (cpus or 1) < 2:
-        return None
-    try:
-        return _EngineWorker(engine, grid, allowed, initial_csv)
-    except OSError:  # EMFILE from os.pipe, EAGAIN or ENOMEM from os.fork
-        return None
+class _Diagnostics:
+    """`run`'s observer in `_execute`, which owns the diagnostics' route.
+
+    Its first call, the initial snapshot, comes after `run`'s CFL check,
+    so a refused run forks nothing.  That call forks the worker where one
+    can run beside the stepping: with os.fork, on more than one CPU this
+    process may use, and a pipe and a process to spare.  Otherwise, or
+    when the fork fails, the engine runs in process, as in library use,
+    and this process writes initial_csv with the same helper.
+    """
+
+    def __init__(self, engine: DiagnosticsEngine, initial_csv: str, n_frames: int):
+        self._engine, self._initial_csv, self._n_frames = engine, initial_csv, n_frames
+        self._worker = None
+        self._feed = self._start
+
+    def __call__(self, state: State) -> None:
+        self._feed(state)
+
+    def _start(self, initial: State) -> None:
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        cpus = len(allowed) if allowed is not None else os.cpu_count()
+        if hasattr(os, "fork") and (cpus or 1) > 1:
+            try:
+                self._worker = _EngineWorker(self._engine, initial, self._n_frames, allowed, self._initial_csv)
+            except OSError:  # EMFILE from os.pipe, EAGAIN or ENOMEM from os.fork
+                pass
+        if self._worker is None:
+            _write_state_csv(self._initial_csv, initial)
+            self._engine(initial)
+        self._feed = self._worker.send if self._worker else self._engine
+
+    def table(self) -> dict:
+        return (self._worker or self._engine).table()
+
+    def close(self) -> None:
+        if self._worker:
+            self._worker.close()
 
 
 def _execute(cfg: ExperimentConfig, outdir: str):
@@ -443,17 +433,16 @@ def _execute(cfg: ExperimentConfig, outdir: str):
         weight_mode=d.weight_mode,
         fixed_lambda=d.fixed_lambda if d.weight_mode == "fixed" else None,
     )
-    initial_csv = os.path.join(outdir, "initial_state.csv")
-    worker = _start_worker(engine, sim.grid, initial_csv)
+    # one frame for each snapshot after the initial one
+    n_frames = len(sim.snapshot_steps()) - 1
+    diagnostics = _Diagnostics(engine, os.path.join(outdir, "initial_state.csv"), n_frames)
     try:
-        result = run(sim, observer=worker.send if worker else _writing_initial(initial_csv, engine))
-        if worker:
-            worker.send(None)  # the worker's last block overlaps the write below
+        result = run(sim, observer=diagnostics)
+        # the worker's last block overlaps this write
         _write_state_csv(os.path.join(outdir, "final_state.csv"), result.final_state)
-        columns = (worker or engine).table()
+        columns = diagnostics.table()
     finally:
-        if worker:
-            worker.close()
+        diagnostics.close()
     _write_csv(os.path.join(outdir, "diagnostics.csv"), list(columns), list(columns.values()))
     _write_text(os.path.join(outdir, "plot_diagnostics.py"), PLOT_SCRIPT)
     return columns, result
@@ -473,7 +462,10 @@ def _base_summary(cfg: ExperimentConfig, cols: dict, result) -> dict:
     return {
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "params": _params_meta(cfg.params),
+        "params": {
+            "a": cfg.params.a, "c": cfg.params.c, "a1": cfg.params.a1, "c1": cfg.params.c1,
+            "origin": cfg.params.origin,
+        },
         "grid": {"half_length": cfg.grid.half_length, "n": cfg.grid.n},
         "bathymetry": cfg.bathy.preset,
         "time": {
@@ -629,21 +621,22 @@ _RUNNERS = {
 }
 
 
-def _dispatch_run(cfg: ExperimentConfig) -> int:
-    return _RUNNERS[cfg.kind](cfg, resolve_output_dir(cfg))
-
-
 # -- report command ------------------------------------------------------
 
 def _read_csv_columns(path: str) -> dict:
+    """The columns of the CSV at path, name -> float array (an empty cell NaN)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        cols: dict = {name: [] for name in reader.fieldnames}
+        cols: dict = {name: [] for name in reader.fieldnames or ()}
         for row in reader:
-            for name, val in row.items():
-                cols[name].append(val)
-    return {name: np.array([float(v) if v != "" else math.nan for v in vals])
-            for name, vals in cols.items()}
+            for name, vals in cols.items():
+                vals.append(row[name])  # None for a cell missing from a short row
+    for name, vals in cols.items():
+        try:
+            cols[name] = np.array([float(v) if v != "" else math.nan for v in vals])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: column {name!r} holds a cell that is not a number") from None
+    return cols
 
 
 def _make_report(run_dir: str) -> int:
@@ -651,29 +644,34 @@ def _make_report(run_dir: str) -> int:
     summary_path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(diag_path) or not os.path.exists(summary_path):
         raise ConfigError(f"run directory {run_dir!r} is missing diagnostics.csv or summary.json")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+        raise ConfigError(f"{summary_path} is not JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{summary_path} holds no JSON object")
     kind = summary.get("kind")
     if kind != "decay-run":  # the decay gate means nothing for another kind
         raise ConfigError(f'run directory {run_dir!r} holds a run of kind "{kind}"; '
                           'report takes a decay-run only')
     cols = _read_csv_columns(diag_path)
+    for name in REPORT_COLUMNS:
+        if name not in cols:
+            raise ConfigError(f"{diag_path} has no column {name!r}")
+    if not cols["h1_norm"].size:  # no initial norm to compare against
+        raise ConfigError(f"{diag_path} has no rows: column 'h1_norm' is empty")
 
     windowed, running = cols["windowed_h1"], cols["running_decay_integral"]
-    finite = np.isfinite(windowed)
-    envelope = np.maximum.accumulate(windowed[finite]) if finite.any() else np.array([])
+    w, r = windowed[np.isfinite(windowed)], running[np.isfinite(running)]
     report = {
         "run_dir_kind": kind,
         "n_snapshots": int(cols["t"].size),
         "sup_ratio": _sup_ratio(cols["h1_norm"]),
-        "windowed_final": float(windowed[finite][-1]) if finite.any() else None,
-        "windowed_max": float(envelope[-1]) if envelope.size else None,
-        "windowed_final_over_max": (
-            float(windowed[finite][-1] / envelope[-1])
-            if envelope.size and envelope[-1] > 0.0 else 0.0
-        ),
-        "running_integral_final": float(running[np.isfinite(running)][-1])
-        if np.isfinite(running).any() else None,
+        "windowed_final": float(w[-1]) if w.size else None,
+        "windowed_max": float(w.max()) if w.size else None,
+        "windowed_final_over_max": float(w[-1] / w.max()) if w.size and w.max() > 0.0 else 0.0,
+        "running_integral_final": float(r[-1]) if r.size else None,
     }
     out_of_region = bool(summary.get("out_of_region", False))
     report["out_of_region"] = out_of_region
@@ -728,7 +726,7 @@ def main(argv=None) -> int:
             raise ConfigError(f'config kind is "{cfg.kind}", expected "region-map"')
         if args.command == "audit-bathymetry" and cfg.kind != "hypothesis-audit":
             raise ConfigError(f'config kind is "{cfg.kind}", expected "hypothesis-audit"')
-        return _dispatch_run(cfg)
+        return _RUNNERS[cfg.kind](cfg, resolve_output_dir(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,7 @@ import pytest
 import abcdsim
 from abcdsim import cli, solver
 from abcdsim.classifier import REFINED_SPLIT, find_admissible_alpha, satisfies_refined_dispersion
-from abcdsim.cli import CSV_BLOCK_ROWS, _nanmax, _read_csv_columns, _write_csv, main
+from abcdsim.cli import CSV_BLOCK_ROWS, EXIT_FAIL, EXIT_PASS, _nanmax, _read_csv_columns, _write_csv, main
 from abcdsim.config import build_region_axes, build_sim_config, fmt_float, fmt_value, parse_config
 from abcdsim.diagnostics import DiagnosticsEngine
 from abcdsim.solver import run
@@ -362,12 +362,15 @@ def _raise_in_worker(monkeypatch):
 # the CFL limit is 0.98 here
 CFL_ABORT_TEXT = IDENTITY_TEXT.replace("dt = 0.001", "dt = 1.2").replace("t_end = 0.06", "t_end = 2.4")
 
+# the H1 norm of every stepped snapshot exceeds 0.99 x the initial one
+BLOWUP_TEXT = IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = 0.99\n\n[diagnostics]")
+
 # a decay run inside the region, too short to pass its gate
 IN_REGION_DECAY_TEXT = OUT_OF_REGION_DECAY_TEXT.replace("-0.020833333333333332", "-1.0")
 
 
 # IDENTITY_TEXT at N = 4096 for 10 steps, 6 snapshots: each frame of the
-# snapshot stream (65 584 bytes) is larger than a 64 KiB pipe, so every
+# snapshot stream (65 576 bytes) is larger than a 64 KiB pipe, so every
 # read of the worker is split
 FRAMES_OVER_THE_PIPE_TEXT = (IDENTITY_TEXT.replace("n = 128", "n = 4096")
                              .replace("t_end = 0.06", "t_end = 0.01"))
@@ -421,24 +424,49 @@ class TestDiagnosticsWorker:
             assert codes_ == codes and captured.out == runs[0][1].out and files == runs[0][2]
         assert {"diagnostics.csv", "summary.json", "initial_state.csv", "final_state.csv"} <= set(runs[0][2])
 
-    def test_a_truncated_frame_ends_the_worker_with_eof(self, tmp_path):
+    @staticmethod
+    def _serve(tmp_path, n_frames: int, stream):
+        """The reply of `_EngineWorker._serve`, run in a thread for a run of
+        n_frames stepped snapshots, to stream(y): the bytes that stream
+        makes of y, the initial snapshot's coefficients as bytes."""
         sim = build_sim_config(parse_config(_write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")))
         engine = DiagnosticsEngine(sim.params, sim.bathymetry)
-        coeffs = sim.grid._rfft(np.stack((sim.u0, sim.eta0))).tobytes()
+        initial = solver.State(sim.grid, sim.eta0, sim.u0, sim.t_start)
         snap_r, snap_w = os.pipe()
         back_r, back_w = os.pipe()
-        with open(snap_w, "wb") as fh:  # the header and half the coefficient block
-            fh.write(np.array([cli.FRAME_STEPPED, 0.5]).tobytes() + coeffs[: len(coeffs) // 2])
+        with open(snap_w, "wb") as fh:
+            fh.write(stream(initial.coeffs.tobytes()))
         serve = threading.Thread(target=cli._EngineWorker._serve,
-                                 args=(engine, sim.grid, snap_r, back_w,
+                                 args=(engine, initial, n_frames, snap_r, back_w,
                                        str(tmp_path / "run" / "initial_state.csv")), daemon=True)
         serve.start()
         serve.join(timeout=10.0)
-        assert not serve.is_alive(), "the worker hangs on a truncated frame"
+        assert not serve.is_alive(), "the worker hangs on a stream that ended early"
+        os.set_blocking(back_r, False)  # a worker that ended without a reply fails, not hangs, the read
         with open(back_r, "rb") as fh:
-            table, exc, text = pickle.load(fh)
+            return pickle.load(fh)
+
+    @staticmethod
+    def _frame(t: float, y: bytes) -> bytes:
+        return np.array([t]).tobytes() + y
+
+    def test_a_truncated_frame_ends_the_worker_with_eof(self, tmp_path):
+        # t and half the coefficient block
+        table, exc, text = self._serve(tmp_path, 2, lambda y: self._frame(0.5, y[: len(y) // 2]))
         assert table is None and isinstance(exc, EOFError)
         assert "EOFError" in text
+
+    def test_a_stream_that_ends_between_frames_ends_the_worker_with_eof(self, tmp_path):
+        # two whole frames of a run that has three: with no end frame, the
+        # count of frames is what tells a finished stream from a cut one
+        def two_frames(y):
+            return self._frame(0.5, y) + self._frame(1.0, y)
+
+        table, exc, text = self._serve(tmp_path, 3, two_frames)
+        assert table is None and isinstance(exc, EOFError) and "EOFError" in text
+        table, exc, _ = self._serve(tmp_path, 2, two_frames)
+        assert exc is None and table["t"].tolist() == [0.0, 0.5, 1.0]
+        assert (tmp_path / "run" / "initial_state.csv").read_bytes().startswith(b"x,eta,u\n")
 
     def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
         def no_fork():
@@ -505,14 +533,24 @@ class TestDiagnosticsWorker:
         assert "run aborted (diagnostics-worker)" in err and words in err
         assert not (out / "diagnostics.csv").exists()
 
-    @pytest.mark.parametrize("text, reason", [
-        (CFL_ABORT_TEXT, "cfl"),
-        (IDENTITY_TEXT.replace("[diagnostics]", "blowup_factor = 0.99\n\n[diagnostics]"), "blowup"),
+    @pytest.mark.parametrize("text, reason, forks", [
+        (CFL_ABORT_TEXT, "cfl", 0),  # refused before the initial snapshot: nothing to reap
+        (BLOWUP_TEXT, "blowup", 1),
     ], ids=["cfl", "blowup"])
-    def test_an_aborted_run_reaps_the_worker(self, tmp_path, capsys, worker_forks, text, reason):
+    def test_an_aborted_run_reaps_the_worker(self, tmp_path, capsys, worker_forks, text, reason, forks):
         assert main(["run", _write_cfg(tmp_path, text, out=tmp_path / "run")]) == 2
         assert f"run aborted ({reason})" in capsys.readouterr().err
-        assert len(worker_forks.pids) == 1
+        assert len(worker_forks.pids) == forks
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["worker", "in-process"])
+    def test_a_run_refused_by_the_cfl_guard_forks_pins_and_writes_nothing(self, tmp_path, capsys,
+                                                                          monkeypatch, worker_forks, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / "run"
+        assert main(["run", _write_cfg(tmp_path, CFL_ABORT_TEXT, out=out)]) == 2
+        assert "run aborted (cfl)" in capsys.readouterr().err
+        assert worker_forks.pids == [] and worker_forks.pins == []
+        assert not (out / "initial_state.csv").exists()
 
     def test_an_interrupted_run_reaps_the_worker(self, tmp_path, monkeypatch, worker_forks):
         _interrupt_stepping(monkeypatch)
@@ -526,7 +564,7 @@ class TestDiagnosticsWorker:
         (IDENTITY_TEXT, _kill_worker_at_second_block, 2),
         (SCHEDULED_FROM_ZERO_TEXT, _kill_worker_at_second_block, 2),
         (IDENTITY_TEXT, _interrupt_stepping, KeyboardInterrupt),
-        (CFL_ABORT_TEXT, lambda monkeypatch: None, 2),
+        (BLOWUP_TEXT, lambda monkeypatch: None, 2),
     ], ids=["pass", "worker-exception", "killed-at-the-table", "killed-mid-run", "interrupt", "abort"])
     def test_the_pins_split_the_mask_and_are_put_back(self, tmp_path, capsys, monkeypatch, worker_forks,
                                                       text, spoil, outcome):
@@ -659,20 +697,21 @@ class TestDiagnosticsWorker:
         assert codes == [0] and len(sizes) == 1
         if sizes[0] < cli.SNAPSHOT_PIPE_BYTES:
             pytest.skip(f"the kernel kept the pipe at {sizes[0]} bytes")
-        frame = 8 * (2 + 4 * (4096 // 2 + 1))
-        assert frame == 65584 and sizes[0] >= 2 * frame
+        frame = 8 * (1 + 4 * (4096 // 2 + 1))  # t, then (2, 2049) complex128
+        assert frame == 65576 and sizes[0] >= 2 * frame
 
     def test_this_process_steps_off_the_worker_cpu_and_gets_its_mask_back(self, tmp_path, monkeypatch):
         if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
             pytest.skip("needs os.fork and at least two allowed CPUs")
         before = os.sched_getaffinity(0)
-        running, during = cli.run, []
+        step, during = solver._Kernel.step, []
 
-        def watched(*args, **kwargs):
-            during.append(os.sched_getaffinity(0))
-            return running(*args, **kwargs)
+        def watched(kernel, *args):
+            if not during:  # the first step: the worker was forked at the initial snapshot
+                during.append(os.sched_getaffinity(0))
+            return step(kernel, *args)
 
-        monkeypatch.setattr(cli, "run", watched)
+        monkeypatch.setattr(solver._Kernel, "step", watched)
         assert main(["run", _write_cfg(tmp_path, IDENTITY_TEXT, out=tmp_path / "run")]) == 0
         assert during == [before - {max(before)}]
         assert os.sched_getaffinity(0) == before
@@ -897,6 +936,11 @@ class TestAudit:
         assert json.loads((out / "audit.json").read_text())["passed"] is False
 
 
+# the two files of a decay-run directory that `report` reads, well formed
+REPORT_DIAGNOSTICS_CSV = "t,h1_norm,windowed_h1,running_decay_integral\n0,1.0,1.0,\n1,0.5,0.25,0.5\n"
+REPORT_SUMMARY_JSON = '{"kind": "decay-run", "out_of_region": false}'
+
+
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.ini")]) == 1
@@ -931,6 +975,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "config error" in err and '"identity-suite"' in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("diagnostics, summary, names", [
+        (REPORT_DIAGNOSTICS_CSV.split("\n")[0] + "\n", REPORT_SUMMARY_JSON, ["diagnostics.csv", "'h1_norm'"]),
+        (REPORT_DIAGNOSTICS_CSV.replace("windowed_h1", "windowed"), REPORT_SUMMARY_JSON,
+         ["diagnostics.csv", "'windowed_h1'"]),
+        ("", REPORT_SUMMARY_JSON, ["diagnostics.csv", "'t'"]),
+        (REPORT_DIAGNOSTICS_CSV.replace("0.25", "abc"), REPORT_SUMMARY_JSON,
+         ["diagnostics.csv", "'windowed_h1'"]),
+        (REPORT_DIAGNOSTICS_CSV.replace("0.25,0.5", "0.25"), REPORT_SUMMARY_JSON,
+         ["diagnostics.csv", "'running_decay_integral'"]),
+        (REPORT_DIAGNOSTICS_CSV, '{"kind": "decay-run",', ["summary.json"]),
+        (REPORT_DIAGNOSTICS_CSV, '["decay-run"]', ["summary.json"]),
+    ], ids=["no-rows", "no-windowed-column", "empty-file", "non-numeric-cell", "short-row",
+            "summary-not-json", "summary-not-an-object"])
+    def test_report_on_a_malformed_run_directory_is_a_config_error(self, tmp_path, capsys,
+                                                                   diagnostics, summary, names):
+        # the well-formed directory reports; each spoiled one is refused by name
+        (tmp_path / "diagnostics.csv").write_text(REPORT_DIAGNOSTICS_CSV)
+        (tmp_path / "summary.json").write_text(REPORT_SUMMARY_JSON)
+        assert main(["report", str(tmp_path)]) in (EXIT_PASS, EXIT_FAIL)
+        (tmp_path / "report.json").unlink()
+        (tmp_path / "diagnostics.csv").write_text(diagnostics)
+        (tmp_path / "summary.json").write_text(summary)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and all(name in err for name in names), err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("text, key", [
         (_region_text(a_max=-1.5), "a_max"),
