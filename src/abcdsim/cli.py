@@ -8,14 +8,15 @@ nothing timestamp-like is emitted.
 
 A run that writes diagnostics (identity suite, decay run) evaluates them
 in one worker process, forked at `run`'s initial snapshot when `os.fork`
-exists and the process may run on more than one CPU; a run refused by
-the CFL guard forks none.  The worker inherits the initial State and
-writes `initial_state.csv` from it; the parent only steps, guards and
-writes each later snapshot to a pipe asked for 1 MiB as one raw frame
-(t, then the stacked rfft coefficients).  The worker reads one frame per
-stepped snapshot, hands each to the same `DiagnosticsEngine` as the
-State `run` hands over, whose fields the engine's ladder builds, and
-pipes back its table, so the diagnostics of one snapshot overlap the
+exists and the process may run on more than one CPU; a run refused
+before its initial snapshot (by the CFL guard, or for non-finite initial
+data) forks none.  The worker inherits the initial State and writes
+`initial_state.csv` from the fields it builds; the parent only steps,
+guards and writes each later snapshot to a pipe asked for 1 MiB as one
+raw frame (t, then the stacked rfft coefficients).  The worker reads one
+frame per stepped snapshot, hands each to the same `DiagnosticsEngine`
+as the State `run` hands over, whose fields the engine's ladder builds,
+and pipes back its table, so the diagnostics of one snapshot overlap the
 steps to the next and every artifact keeps its bytes.  Right after the
 fork the parent pins the worker to the highest-numbered CPU of its
 affinity mask and itself to the rest, and puts its mask back once the
@@ -234,19 +235,20 @@ def _read_exactly(src, a: np.ndarray) -> None:
 class _EngineWorker:
     """A DiagnosticsEngine fed in a child process forked at `run`'s initial snapshot.
 
-    The child inherits the initial State, which holds the caller's fields
-    and their coefficients: it writes `initial_csv` from it and feeds it
-    to the engine before it reads a frame, so the parent formats no CSV
-    while it steps.  `send` writes each stepped snapshot to the child as
-    one raw frame, with no pickle: t as one float64, then the stacked rfft
-    coefficients (u_hat, eta_hat), (2, N/2 + 1) complex128, in one write
-    from a buffer of fixed size.  The child knows N from the grid and
-    `n_frames`, the run's number of stepped snapshots, from the caller, so
-    it reads exactly that many frames into arrays of known size and then
-    evaluates the table: there is no end frame, and the parent does not
-    wait for the child to finish its last snapshot.  It hands each frame
-    to the engine as `solver._state` does in `run`, a State that holds
-    the coefficients alone, whose fields the engine's ladder builds (see
+    The child inherits the initial State, which like every State holds
+    its coefficients alone: it writes `initial_csv` from the fields that
+    State builds and feeds it to the engine before it reads a frame, so
+    the parent formats no CSV while it steps.  `send` writes each stepped
+    snapshot to the child as one raw frame, with no pickle: t as one
+    float64, then the stacked rfft coefficients (u_hat, eta_hat),
+    (2, N/2 + 1) complex128, in one write from a buffer of fixed size.
+    The child knows N from the grid and `n_frames`, the run's number of
+    stepped snapshots, from the caller, so it reads exactly that many
+    frames into arrays of known size and then evaluates the table: there
+    is no end frame, and the parent does not wait for the child to finish
+    its last snapshot.  It hands each frame to the engine as
+    `solver._state` does in `run`, a State that holds the coefficients
+    alone, whose fields the engine's ladder builds (see
     `diagnostics._Snap`): neither process transforms a stepped snapshot
     for its fields.  A stream that ends before the last frame (a frame cut
     short, or the parent gone) ends the child with EOFError, which it
@@ -384,12 +386,13 @@ class _EngineWorker:
 class _Diagnostics:
     """`run`'s observer in `_execute`, which owns the diagnostics' route.
 
-    Its first call, the initial snapshot, comes after `run`'s CFL check,
-    so a refused run forks nothing.  That call forks the worker where one
-    can run beside the stepping: with os.fork, on more than one CPU this
-    process may use, and a pipe and a process to spare.  Otherwise, or
-    when the fork fails, the engine runs in process, as in library use,
-    and this process writes initial_csv with the same helper.
+    Its first call, the initial snapshot, comes after `run`'s CFL and
+    finiteness checks, so a refused run forks nothing.  That call forks
+    the worker where one can run beside the stepping: with os.fork, on
+    more than one CPU this process may use, and a pipe and a process to
+    spare.  Otherwise, or when the fork fails, the engine runs in process,
+    as in library use, and this process writes initial_csv with the same
+    helper.
     """
 
     def __init__(self, engine: DiagnosticsEngine, initial_csv: str, n_frames: int):

@@ -77,9 +77,8 @@ class _Snap:
     irfft) and the densities momentum, h1 and energy are built.
 
     u and eta are the rows of that irfft, bitwise `Grid.from_hat` of the
-    coefficients, so a State that holds its coefficients alone (a
-    snapshot of `run`) is never transformed for its fields; a State that
-    holds its fields keeps them (irfft(rfft(u0)) is not bitwise u0).
+    coefficients and so the fields the State itself would build: no State
+    is transformed for its fields.
 
     `state` is one State, or a block: a list of B States on one grid, with
     `bs` the list of their samples.  A block costs the same 3 transforms,
@@ -109,9 +108,6 @@ class _Snap:
         else:
             f = dict(zip(self._FIELDS + ("du", "deta"), g.from_hat(np.concatenate((y, y * g._ik)))))
         u, eta, du, deta = f["u"], f["eta"], f["du"], f["deta"]
-        for i, s in enumerate(states):
-            if "u" in vars(s):  # it holds its fields (see the class docstring)
-                u[i], eta[i] = s.u, s.eta
         uu, ee, dudu, dede = u**2, eta**2, du**2, deta**2
         f["momentum"] = u * eta + du * deta
         f["h1"] = uu + ee + dudu + dede

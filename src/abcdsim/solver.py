@@ -11,25 +11,24 @@ condition is stable.  Quadratic products are dealiased by zero padding;
 bottom derivatives enter as analytic samples, so no spectral derivative
 of h is ever taken.
 
-`run` carries the rfft coefficients of (u, eta) from step to step and
-hands each stepped snapshot over as a State that holds only those
-coefficients: its guards read them, and eta and u are built on first
-read (see `State`), so a snapshot that no caller reads in physical space
-costs no inverse transform.  The kernel steps in a workspace it
-allocates once per grid: the transforms (the pocketfft pair bound in
-`grid.py`, the inverse unnormalized) write into it, the scale of the
-3/2-rule products rides in the kernel's quadratic symbols, the separable
-bottom enters as one multiply per stage time of its three stacked
-unit-tau rows by their scales, the RK4 scalars enter as 0-d complex
-arrays made once per dt, and each step allocates only the fresh array of
-coefficients it returns.  `rhs` and `step_rk4` are physical-space
-adapters over the same kernel.
+A State is the rfft coefficients of (u, eta) alone.  `run` projects the
+initial fields once, carries the coefficients from step to step and
+hands each snapshot over as a State of them: its guards read them, and
+eta and u are built on first read (see `State`), so a snapshot that no
+caller reads in physical space costs no inverse transform.  The kernel
+steps in a workspace it allocates once per grid: the transforms (the
+pocketfft pair bound in `grid.py`, the inverse unnormalized) write into
+it, the scale of the 3/2-rule products rides in the kernel's quadratic
+symbols, the separable bottom enters as one multiply per stage time of
+its three stacked unit-tau rows by their scales, the RK4 scalars enter
+as 0-d complex arrays made once per dt, and each step allocates only the
+fresh array of coefficients it returns.  `rhs` and `step_rk4` are
+physical-space adapters over the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,75 +70,48 @@ class NonFinite(SimulationAbort):
     reason = "nonfinite"
 
 
-@dataclass
 class State:
-    """Surface displacement eta and velocity u on a grid at time t.
+    """Surface displacement eta and velocity u on a grid at time t, held as
+    their stacked rfft coefficients `coeffs` = (u_hat, eta_hat), read-only.
 
-    eta and u are read-only: the constructor and a rebinding copy the
-    arrays given, and rebinding either drops the cached coefficients, so
-    `coeffs` always describes the fields.  A snapshot of `run` holds its
-    coefficients alone (see `_state`): it builds eta and u on first read,
-    bitwise `Grid.from_hat(coeffs)`, as two views of one read-only (2, N)
-    array that it keeps.
+    The constructor checks eta and u on the grid and projects them with
+    one stacked transform; a snapshot of `run` carries the coefficients
+    it stepped (see `_state`).  Either way eta and u are built on first
+    read, bitwise `Grid.from_hat(coeffs)`, as two views of one read-only
+    (2, N) array that the State keeps: a hand-built State's fields are
+    the projection of the arrays it was given, within round-off of them.
     """
 
-    grid: Grid
-    eta: np.ndarray
-    u: np.ndarray
-    t: float
+    _fields = None  # (u, eta), once read
 
-    def __setattr__(self, name, value):
-        if name in ("eta", "u"):
-            value = np.array(self.grid.check(value), dtype=float)
-            value.flags.writeable = False
-            if "coeffs" in self.__dict__:
-                if "u" not in self.__dict__:
-                    self._build_fields()  # the other field outlives the coefficients
-                del self.__dict__["coeffs"]
-        super().__setattr__(name, value)
-
-    def __getattr__(self, name):
-        # reached only for an attribute not set, as eta and u of a State
-        # that holds its coefficients alone
-        if name in ("eta", "u") and "coeffs" in self.__dict__:
-            self._build_fields()
-            return self.__dict__[name]
-        raise AttributeError(f"'State' object has no attribute {name!r}")
-
-    def _build_fields(self) -> None:
-        fields = self.grid.from_hat(self.coeffs)
-        fields.flags.writeable = False
-        self.__dict__.update(u=fields[0], eta=fields[1])
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        """Stacked rfft coefficients (u_hat, eta_hat), read-only.
-
-        A State built by `run` carries them; a hand-built one computes
-        them with one stacked transform on first use.
-        """
-        y = self.grid._rfft(np.stack((self.u, self.eta)))
+    def __init__(self, grid: Grid, eta, u, t: float):
+        y = grid._rfft(np.array((grid.check(u), grid.check(eta)), dtype=float))
         y.flags.writeable = False
-        return y
+        self.grid, self.coeffs, self.t = grid, y, t
 
-    def copy(self) -> "State":
-        return _carrying(State(self.grid, self.eta, self.u, self.t), self.coeffs)
+    @property
+    def u(self) -> np.ndarray:
+        return self._built()[0]
 
+    @property
+    def eta(self) -> np.ndarray:
+        return self._built()[1]
 
-def _carrying(s: State, y) -> State:
-    """s with its stacked coefficients y frozen in place of the first-use transform."""
-    y.flags.writeable = False
-    s.__dict__["coeffs"] = y
-    return s
+    def _built(self) -> tuple:
+        if self._fields is None:
+            fields = self.grid.from_hat(self.coeffs)
+            fields.flags.writeable = False
+            self._fields = tuple(fields)  # its rows, built once
+        return self._fields
 
 
 def _state(g: Grid, y, t: float) -> State:
     """State at time t that holds the stacked coefficients (u_hat, eta_hat)
-    alone: no transform, no copy, no `Grid.check`.  Its eta and u are
-    built on first read (see `State`)."""
+    y, frozen in place: no transform, no copy, no `Grid.check`."""
     s = State.__new__(State)
-    s.__dict__.update(grid=g, t=t)
-    return _carrying(s, y)
+    y.flags.writeable = False
+    s.grid, s.coeffs, s.t = g, y, t
+    return s
 
 
 def _h1_norm(g: Grid, y):
@@ -321,6 +293,12 @@ def step_rk4(s: State, dt: float, b: Bathymetry, p: AbcdParams) -> State:
     return _state(g, y, s.t + dt)
 
 
+def _check_finite(y, t: float) -> None:
+    """NonFinite unless every coefficient of the snapshot at time t is finite."""
+    if not np.isfinite(y).all():
+        raise NonFinite(f"non-finite field values at t={t}")
+
+
 @dataclass
 class SimConfig:
     """Everything one run needs.  Snapshot cadence is in steps."""
@@ -376,11 +354,12 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     The observer, if given, is called with every snapshot State (the
     initial state included) and snapshots are not retained; otherwise
-    they are collected in the result.  The initial State holds the
-    caller's fields; every later one, `final_state` included, holds its
-    coefficients alone and builds its fields on first read.  Aborts with CflViolation before
-    stepping if dt violates the CFL bound, and with BlowUp/NonFinite at
-    snapshot checks during the run.
+    they are collected in the result.  Every State, the initial one and
+    `final_state` included, holds its coefficients and builds its fields
+    on first read.  Aborts with CflViolation before stepping if dt
+    violates the CFL bound, with NonFinite before the first observer
+    call if the initial coefficients are not finite, and with
+    BlowUp/NonFinite at snapshot checks during the run.
     """
     g = cfg.grid
     speed = max_group_speed(cfg.params, g)
@@ -403,6 +382,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
 
     s = State(g, cfg.eta0, cfg.u0, cfg.t_start)
     y = s.coeffs
+    _check_finite(y, cfg.t_start)  # a NaN norm0 would turn the blow-up guard off
     norm0 = float(_h1_norm(g, y))
 
     result = RunResult(final_state=s)
@@ -416,8 +396,7 @@ def run(cfg: SimConfig, observer=None) -> RunResult:
             t = cfg.t_start + n * cfg.dt
             # the guards read the coefficients: fields that would overflow from
             # finite ones have an infinite H1 norm, which trips BlowUp
-            if not np.isfinite(y).all():
-                raise NonFinite(f"non-finite field values at t={t}")
+            _check_finite(y, t)
             if norm0 > 0.0:
                 norm = float(_h1_norm(g, y))
                 if norm > cfg.blowup_factor * norm0:

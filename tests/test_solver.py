@@ -311,14 +311,17 @@ class TestRunPlumbing:
             run(cfg)
 
     def test_nonfinite_fields_detected(self, grid):
+        # refused before the first observer call: no step, no State handed over
         p = AbcdParams(a=-1.0, c=-1.0)
         eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
         eta0 = eta0.copy()
         eta0[3] = np.nan
         cfg = SimConfig(params=p, bathymetry=flat_bottom(), grid=grid,
-                        eta0=eta0, u0=u0, dt=1e-2, t_end=0.5)
-        with pytest.raises(NonFinite):
-            run(cfg)
+                        eta0=eta0, u0=u0, dt=1e-2, t_end=0.5, snapshot_every=25)
+        seen = []
+        with pytest.raises(NonFinite, match=r"at t=0\.0$"):
+            run(cfg, observer=seen.append)
+        assert seen == []
 
     def test_abort_reasons_are_subclasses_of_the_common_base(self):
         from abcdsim import SimulationAbort
@@ -590,16 +593,20 @@ class TestStateCoefficients:
                              ids=["flat", "bump"])
     def test_stepped_fields_are_the_inverse_transform_of_the_coefficients(self, grid, bottom):
         # what the CLI's diagnostics worker relies on: it receives only the
-        # coefficients of a stepped snapshot and rebuilds the same fields
+        # coefficients of a snapshot and rebuilds the same fields; the initial
+        # snapshot, built from the caller's arrays, holds their projection
         seen, res = self._snapshots(grid, bottom)
         assert res.final_state is seen[-1] and len(seen) == 6
-        for s in seen[1:]:  # the first holds the caller's fields, not irfft(rfft(u0))
+        for s in seen:
             u, eta = grid.from_hat(s.coeffs)
             assert np.array_equal(s.u, u) and np.array_equal(s.eta, eta)
-        for s in seen:
             assert not (s.eta.flags.writeable or s.u.flags.writeable or s.coeffs.flags.writeable)
-        self._check_copy(seen[-1])
-        self._check_rebinding(seen[-1])
+        # the projection is within round-off of the caller's arrays: the round
+        # trip errs like eps log2 N of the peak, log2 N = 6 here, so 8 eps; the
+        # worst measured over N = 64 to 4096 was 3.1 eps
+        eta0, u0 = gaussian_pair(grid, eps=1e-3, width=0.5)
+        for got, given in ((seen[0].eta, eta0), (seen[0].u, u0)):
+            assert np.max(np.abs(got - given)) <= 8 * np.finfo(float).eps * np.max(np.abs(given))
 
     def test_writing_into_a_state_raises(self, grid):
         eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
@@ -612,40 +619,57 @@ class TestStateCoefficients:
                 s.u += 1.0
             with pytest.raises(ValueError):
                 y[0, 1] = 0.0
-        # the caller's arrays are copied, so writing into them is fine and unseen
-        s = State(grid, eta, u, 0.0)
+            npt.assert_array_equal(s.coeffs, y)
+
+    def test_rebinding_a_field_raises(self, grid):
+        # a field is the coefficients' to build: it cannot be rebound, and a
+        # refused rebinding leaves the State as it was
+        eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
+        seen, _ = self._snapshots(grid)
+        for s in (seen[-1], State(grid, eta, u, 0.0)):
+            y, fields = s.coeffs, (s.u, s.eta)
+            with pytest.raises(AttributeError):
+                s.eta = np.zeros(grid.N)
+            with pytest.raises(AttributeError):
+                s.u = np.zeros(grid.N)
+            assert s.coeffs is y and not y.flags.writeable
+            assert s.u is fields[0] and s.eta is fields[1]
+
+    def test_hand_built_state_is_checked_and_projected_once(self, grid, transform_calls):
+        # one stacked rfft of (u, eta), bitwise the grid's own, and no
+        # inverse transform until a field is read
+        eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
+        s = State(grid, eta, u, 0.25)
+        assert [(name, a.shape) for name, a in transform_calls] == [("_rfft", (2, grid.N))]
+        assert s.t == 0.25 and s._fields is None
+        assert np.array_equal(s.coeffs, grid._rfft(np.stack((u, eta))))
+        # the constructor validates both arrays as `Grid.check` does
+        with pytest.raises(ValueError, match="shape"):
+            State(grid, eta[:-1], u, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            State(grid, eta, u[:-1], 0.0)
+        with pytest.raises(ValueError, match="real"):
+            State(grid, eta, u + 0j, 0.0)
+
+    def test_callers_arrays_are_copied(self, grid):
+        # the caller's arrays are copied, so writing into them is fine and
+        # unseen, before the fields are first read and after
+        eta, u = gaussian_pair(grid, eps=1e-3, width=0.5)
+        eta, u = eta.copy(), u.copy()
+        s, read = State(grid, eta, u, 0.0), State(grid, eta, u, 0.0)
         before = s.coeffs.copy()
+        want = grid.from_hat(before)
+        fields = read.u, read.eta
         eta[:] = 0.0
+        u[:] = 0.0
         npt.assert_array_equal(s.coeffs, before)
-        assert np.any(s.eta != 0.0)
-
-    @staticmethod
-    def _check_rebinding(s):
-        s.eta = 2.0 * s.eta
-        assert s.eta.flags.writeable is False
-        want = np.stack((np.fft.rfft(s.u), np.fft.rfft(s.eta)))
-        npt.assert_allclose(s.coeffs, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
-
-    def test_rebinding_a_field_drops_the_coefficients(self, grid):
-        seen, _ = self._snapshots(grid)
-        self._check_rebinding(seen[-1])
-
-    @staticmethod
-    def _check_copy(s):
-        c = s.copy()
-        assert c.coeffs is s.coeffs
-        assert c.eta is not s.eta and c.u is not s.u
-        npt.assert_array_equal(c.eta, s.eta)
-        npt.assert_array_equal(c.u, s.u)
-        assert c.t == s.t
-
-    def test_copy_carries_the_coefficients(self, grid):
-        seen, _ = self._snapshots(grid)
-        self._check_copy(seen[-1])
+        assert np.array_equal(s.u, want[0]) and np.array_equal(s.eta, want[1])
+        assert read.u is fields[0] and read.eta is fields[1]
+        assert np.array_equal(read.u, want[0]) and np.array_equal(read.eta, want[1])
 
 
 class TestCoefficientSnapshots:
-    """`run` hands each stepped snapshot over as a State that holds its
+    """`run` hands each snapshot over as a State that holds its
     coefficients alone: the guards read them, and the fields are built
     only when a caller reads them."""
 
@@ -670,13 +694,12 @@ class TestCoefficientSnapshots:
         assert len(transform_calls) == 8 * 10 + 1
         coarse = grid.N // 2 + 1
         assert not any(name == "_irfft" and a.shape[-1] == coarse for name, a in transform_calls)
-        assert "u" not in vars(res.final_state) and "eta" not in vars(res.final_state)
+        assert res.final_state._fields is None
 
     def test_fields_are_built_once_read_only_and_bitwise_from_hat(self, grid, transform_calls):
         seen, res = TestStateCoefficients()._snapshots(grid)
-        assert "u" in vars(seen[0])  # the caller's fields
-        for s in seen[1:]:
-            assert "u" not in vars(s) and "eta" not in vars(s)
+        for s in seen:
+            assert s._fields is None  # not built yet
             transform_calls.clear()
             eta = s.eta
             assert [name for name, _ in transform_calls] == ["_irfft"]
@@ -688,14 +711,6 @@ class TestCoefficientSnapshots:
             assert not (u.flags.writeable or eta.flags.writeable or u.base.flags.writeable)
         with pytest.raises(AttributeError):
             seen[1].h
-
-    def test_rebinding_one_field_keeps_the_other(self, grid):
-        seen, _ = TestStateCoefficients()._snapshots(grid)
-        s = seen[-1]
-        u = grid.from_hat(s.coeffs)[0]
-        s.eta = np.zeros(grid.N)
-        assert np.array_equal(s.u, u) and not s.u.flags.writeable
-        npt.assert_array_equal(s.coeffs[1], 0.0)
 
     @staticmethod
     def _spoiling(monkeypatch, at_step, spoil):
