@@ -2,6 +2,14 @@
 # Write every artifact that the byte-identity check compares under OUT,
 # made by the abcdsim code of TREE (default: this checkout):
 #
+#   scripts/artifacts.sh [--numpy] OUT [TREE]
+#
+# --numpy writes the root of numpy's FFT binding on a host where scipy is
+# installed: every run sees a directory holding an empty `scipy` package
+# first on PYTHONPATH, so scipy's pocketfft extension is not found and the
+# package binds numpy's transforms (checked before the first run).  Without
+# it the binding is whichever the package picks on this host.
+#
 #   OUT/configs/<name>/         each shipped config: out/<name>/ (its files),
 #                               stdout.txt and exit_status; the decay run also
 #                               report.stdout.txt and report.exit_status of
@@ -20,13 +28,20 @@
 #   scripts/artifacts.sh /tmp/art-change
 #   diff -r /tmp/art-parent /tmp/art-change
 #
+# and the same with --numpy (two more roots) for numpy's binding.
+#
 # stderr is not kept (Python 3.12 warns there when the CLI forks its
 # diagnostics worker).  Takes about a minute on two CPUs.
 
 set -euo pipefail
 
+numpy_binding=0
+if [ "${1:-}" = --numpy ]; then
+    numpy_binding=1
+    shift
+fi
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 OUT [TREE]" >&2
+    echo "usage: $0 [--numpy] OUT [TREE]" >&2
     exit 1
 fi
 here=$(cd "$(dirname "$0")/.." && pwd)
@@ -39,10 +54,25 @@ if [ -n "$(ls -A "$out")" ]; then
 fi
 export PYTHONDONTWRITEBYTECODE=1  # leave both trees as they are
 
+# what every run puts on PYTHONPATH: TREE's src, after the empty scipy with --numpy
+path="$tree/src"
+if [ "$numpy_binding" = 1 ]; then
+    hide=$(mktemp -d)
+    trap 'rm -rf "$hide"' EXIT
+    mkdir "$hide/scipy"
+    : >"$hide/scipy/__init__.py"
+    path="$hide:$path"
+fi
+
 # the abcdsim that runs must be TREE's, not one installed elsewhere
-found=$(PYTHONPATH="$tree/src" python3 -c 'import abcdsim; print(abcdsim.__file__)')
+found=$(PYTHONPATH="$path" python3 -c 'import abcdsim; print(abcdsim.__file__)')
 if [ "$found" != "$tree/src/abcdsim/__init__.py" ]; then
     echo "$0: imported abcdsim from $found, not from $tree/src" >&2
+    exit 1
+fi
+binding=$(PYTHONPATH="$path" python3 -c 'from abcdsim import grid; print(grid._BINDING)')
+if [ "$numpy_binding" = 1 ] && [ "$binding" != numpy ]; then
+    echo "$0: --numpy, but the package bound \"$binding\"" >&2
     exit 1
 fi
 
@@ -51,7 +81,7 @@ fi
 abcdsim() {
     local dir=$1 prefix=$2 code=0
     shift 2
-    (cd "$dir" && ABCDSIM_OUT_ROOT="$dir" PYTHONPATH="$tree/src" \
+    (cd "$dir" && ABCDSIM_OUT_ROOT="$dir" PYTHONPATH="$path" \
         python3 -m abcdsim.cli "$@" >"${prefix}stdout.txt") || code=$?
     echo "$code" >"$dir/${prefix}exit_status"
 }
@@ -82,4 +112,4 @@ print(w.command)' "$workload" "$seed" "$dir/config.ini")
         abcdsim "$dir" "" "$command" config.ini
     done
 done
-echo "artifacts of $tree written under $out ($(find "$out" -type f | wc -l) files)"
+echo "artifacts of $tree ($binding binding) written under $out ($(find "$out" -type f | wc -l) files)"

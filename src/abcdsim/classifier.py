@@ -7,6 +7,13 @@ Two layers:
 * the quadratic-form coefficients in canonical variables and the search
   for a mixing weight alpha making all six leading coefficients
   nonnegative.
+
+Both take arrays.  The region test computes each branch as a small
+integer code and turns the codes into labels with one index into
+`_LABELS`.  The alpha search evaluates only the six main coefficients
+(A2, A3, A4, B2, B3, B4, from `_main_coeffs`, which `quadratic_coeffs`
+also uses), and only on a window of grid points around the peak of
+their minimum.
 """
 
 from __future__ import annotations
@@ -27,10 +34,14 @@ __all__ = [
     "find_admissible_alpha",
 ]
 
-_BLOCK = 8192  # alpha values per quadratic_coeffs call of the search; a wider window goes alone
+_BLOCK = 8192  # (cell, alpha) pairs per window of the search; a wider window goes alone
 
 # split point of the refined family, -(19 + sqrt(181))/90, about -0.36059
 REFINED_SPLIT = -(19.0 + math.sqrt(181.0)) / 90.0
+
+# the region test's branch labels, indexed by integer code; code 0: no refined window holds
+_LABELS = np.array(["", "refined-case-1", "refined-case-2", "main-inequality", "rejected",
+                    "domain-violation"])
 
 
 def _check_domain(a: float, c: float) -> None:
@@ -50,8 +61,8 @@ class RegionVerdict:
 
 
 def _region(a, c, b):
-    """The region test elementwise: (main slack, refined case, row slack); case 1 (c <= a)
-    indexes its windows by c, case 2 (the mirror image) by a; "" and NaN where no window holds."""
+    """The region test elementwise: (main slack, refined case code, row slack); case 1 (c <= a)
+    indexes its windows by c, case 2 (the mirror image) by a; code 0 and NaN where no window holds."""
     a, c, b = (np.asarray(v, dtype=float) for v in (a, c, b))
     main = 8.0 * a * c - 3.0 * (a + c) - 2.0
     one, th = c <= a, REFINED_SPLIT
@@ -61,7 +72,7 @@ def _region(a, c, b):
     m = np.where(rows[0], 45.0 * a * c - (1.0 - y),
                  np.where(rows[1], 18.0 * a * c + a + c,
                           np.where(rows[2], 27.0 * a * c - (6.0 * y + 1.0), np.nan)))
-    case = np.where(rows[0] | rows[1] | rows[2], np.where(one, "refined-case-1", "refined-case-2"), "")
+    case = np.where(rows[0] | rows[1] | rows[2], 2 - one, 0)  # 1 for case 1, 2 for case 2
     return main, case, m
 
 
@@ -73,8 +84,7 @@ def refined_margin(a: float, c: float, b: float = 1.0):
     holds; returns None when no row window contains the point.
     """
     _, case, m = _region(a, c, b)
-    case, m = str(case), float(m)
-    return (case, m) if case else None
+    return (str(_LABELS[case]), float(m)) if case else None
 
 
 def satisfies_refined_dispersion(a: float, c: float, b: float = 1.0) -> RegionVerdict:
@@ -96,8 +106,8 @@ def satisfies_refined_dispersion(a: float, c: float, b: float = 1.0) -> RegionVe
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     off = ~((a < 0.0) & (c < 0.0)) | (c < -1.0)
     accepted = ~off & ((main > 0.0) | (m > 0.0))
-    branch = np.where(off, "domain-violation", np.where(main > 0.0, "main-inequality",
-                                                        np.where(m > 0.0, case, "rejected")))
+    # m > 0 only inside a window, where case is 1 or 2
+    branch = _LABELS[np.where(off, 5, np.where(main > 0.0, 3, np.where(m > 0.0, case, 4)))]
     # a rejected point reports max(main, m): the row slack only where it is the larger
     margin = np.where(off, np.nan, np.where((main <= 0.0) & (m > main), m, main))
     if scalar:
@@ -119,20 +129,35 @@ class QuadCoeffs:
 
     def min_main(self):
         """The smallest of the six main coefficients (elementwise for an array alpha)."""
-        return np.minimum.reduce([self.A2, self.A3, self.A4, self.B2, self.B3, self.B4])
+        return _min_of((self.A2, self.A3, self.A4, self.B2, self.B3, self.B4))
+
+
+def _min_of(six):
+    """The elementwise minimum of six coefficients, one running np.minimum in their
+    order, which decides signed zeros and NaN; the six are left as they are."""
+    first, second, *rest = six
+    worst = np.minimum(first, second)
+    for v in rest:
+        worst = np.minimum(worst, v, out=worst if isinstance(worst, np.ndarray) else None)
+    return worst
+
+
+def _main_coeffs(a, c, alpha):
+    """(A2, A3, A4, B2, B3, B4), the six main coefficients, at one alpha or elementwise."""
+    return (-alpha - 1.5 * a,
+            -(1.0 - a) * alpha - 2.0 * a - 0.5,
+            a * (alpha - 0.5),
+            alpha - 1.5 * c,
+            (1.0 - c) * alpha - 2.0 * c - 0.5,
+            -c * (alpha + 0.5))
 
 
 def quadratic_coeffs(a: float, c: float, alpha: float) -> QuadCoeffs:
     """The coefficients at one alpha, or elementwise at an array of them."""
+    A2, A3, A4, B2, B3, B4 = _main_coeffs(a, c, alpha)
     return QuadCoeffs(
-        A1=0.5,
-        A2=-alpha - 1.5 * a,
-        A3=-(1.0 - a) * alpha - 2.0 * a - 0.5,
-        A4=a * (alpha - 0.5),
-        B1=0.5,
-        B2=alpha - 1.5 * c,
-        B3=(1.0 - c) * alpha - 2.0 * c - 0.5,
-        B4=-c * (alpha + 0.5),
+        A1=0.5, A2=A2, A3=A3, A4=A4,
+        B1=0.5, B2=B2, B3=B3, B4=B4,
         D11=0.5 * (1.0 + a) * (alpha + 1.0) - 0.5,
         D12=-a * (alpha - 0.5),
         D21=0.5 * (1.0 + c) * (1.0 - alpha) - 0.5,
@@ -145,21 +170,24 @@ def _window_search(a, c, width: int, n: int, step: float):
 
     The six are lines in alpha: A2, A3, A4 fall and B2, B3, B4 rise, so their
     minimum is concave and peaks at alpha* = max over rising i of min over
-    falling j of the crossings alpha_ij; the window is centred on alpha*.
+    falling j of the crossings alpha_ij; the window is centred on alpha*.  The
+    window holds one row of cells per grid offset, so each reduction over it
+    is a running elementwise one, row by row in grid order.
     """
-    # each coefficient is the line v0 + s * alpha, (v0, s) read off at alpha = 0 and 1
-    v0, v1 = (np.array([q.A2, q.A3, q.A4, q.B2, q.B3, q.B4])
-              for q in (quadratic_coeffs(a, c, 0.0), quadratic_coeffs(a, c, 1.0)))
+    # each coefficient is the line v0 + s * alpha, (v0, s) read off at alpha = 0 and 1 in one call
+    v0, v1 = np.array(_main_coeffs(a, c, np.array([[0.0], [1.0]]))).transpose(1, 0, 2)
     s = v1 - v0
     peak = ((v0[:3, None] - v0[None, 3:]) / (s[None, 3:] - s[:3, None])).min(axis=0).max(axis=0)
     k0 = np.rint(np.clip(peak / step, -n, n)).astype(int) * (width < n)  # width n: the whole grid
-    k = k0[:, None] + np.arange(-width, width + 1)
+    k = np.arange(-width, width + 1)[:, None] + k0  # one row per window offset, in grid order
     al = k * step
-    worst = quadratic_coeffs(a[:, None], c[:, None], al).min_main()
+    worst = _min_of(_main_coeffs(a, c, al))
     ok = (np.abs(k) <= n) & (worst >= 0.0)
-    best = np.where(ok, worst, -np.inf).max(axis=1)
-    pick = np.where(ok & (worst >= best[:, None] - 1e-15), np.abs(al), np.inf).argmin(axis=1)
-    return np.where(best >= 0, al[np.arange(a.size), pick], np.nan), np.where(best >= 0, best, np.nan)
+    best = np.where(ok, worst, -np.inf).max(axis=0)
+    # in the tie band the smallest |alpha|; of -alpha and +alpha, -alpha, the first in grid order
+    key = np.where(ok & (worst >= best - 1e-15), np.abs(al), np.inf)
+    pick = np.where(key == key.min(axis=0), al, np.inf).min(axis=0)
+    return np.where(best >= 0, pick, np.nan), np.where(best >= 0, best, np.nan)
 
 
 def admissible_alphas(a, c, span: float = 4.0, step: float = 1e-3):
@@ -182,7 +210,9 @@ def admissible_alphas(a, c, span: float = 4.0, step: float = 1e-3):
     alpha, margin = np.full(a.size, np.nan), np.full(a.size, np.nan)
     for width in sorted(set(w.astype(int).tolist())):  # not np.unique: it imports numpy.ma
         cells = np.flatnonzero(w == width)
-        for idx in np.split(cells, range(0, cells.size, max(1, _BLOCK // (2 * width + 1)))[1:]):
+        block = max(1, _BLOCK // (2 * width + 1))
+        for start in range(0, cells.size, block):
+            idx = cells[start:start + block]
             alpha[idx], margin[idx] = _window_search(a[idx], c[idx], width, n, step)
     return alpha, margin
 

@@ -130,19 +130,27 @@ class _Snap:
         split = 14 + 2 * len(y)  # the rows of u, eta and the products come first
         names = cls._FIELDS + cls._UV + cls._PRODUCTS[: split - 14] + (() if zero else cls._BOTTOM)
         shape = (len(names),) + y.shape[1:]
-        if shape not in buffers:  # the ladder's spectra and fields, and the products' work arrays
-            buffers[shape] = (np.empty(shape, complex), np.empty(shape[:-1] + (g.N,)),
-                              g._product_buffers(y.shape))
-        rows, fields, work = buffers[shape]
+        key = (g.L,) + shape  # the symbols depend on L as well as on N
+        if key not in buffers:  # the ladder's spectra and fields, the products' work arrays
+            # and its symbols spread over whole rows: d, d2, T, T d, T d2, T d3 (the tower) for
+            # u and for eta, T and T d (the images) for each product
+            tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
+            images = np.stack((helm, ik * helm))[:, None]
+            buffers[key] = (np.empty(shape, complex), np.empty(shape[:-1] + (g.N,)),
+                              g._product_buffers(y.shape),
+                              np.broadcast_to(tower, (6,) + y.shape[1:]).copy(),
+                              np.broadcast_to(images, (len(y), 2) + y.shape[1:]).copy())
+        rows, fields, work, tower, images = buffers[key]
         prods = g._dealiased_products(y, work)  # u^2, u eta [, u h]
         prods *= g._product_scale
-        # u and eta; d, d2, T, T d, T d2, T d3 of each; T and T d of each product
-        tower = np.stack((ik, d2, helm, ik * helm, d2 * helm, ik * d2 * helm))[:, None]
-        images = np.stack((helm, ik * helm))[:, None]
+        # u and eta; the tower of each; the images of each product.  Each spectrum is spread
+        # over the rows of its symbols by a broadcast copy, then multiplied in place by them:
+        # a broadcast multiply would be buffered by numpy, a temporary a call
         rows[:2] = y[:2]
-        np.multiply(y[0], tower, out=rows[2:8])
-        np.multiply(y[1], tower, out=rows[8:14])
-        np.multiply(prods[:, None], images, out=rows[14:split].reshape((-1, 2) + y.shape[1:]))
+        for factor, out, by in ((y[0], rows[2:8], tower), (y[1], rows[8:14], tower),
+                                (prods[:, None], rows[14:split].reshape(images.shape), images)):
+            np.copyto(out, factor)
+            out *= by
         if not zero:
             np.stack((
                 T_w1, ik * T_w1, (1.0 + g.k2) * T_w1,  # T w1, T dx w1, w1 = (1 - dxx) T w1
@@ -606,7 +614,7 @@ class DiagnosticsEngine:
         self._decay = _RunningTrapezoid()
         self._fixed_weights: dict[tuple, dict] = {}  # rows of the static window per grid (L, N)
         self._plans: dict[bool, tuple] = {}  # integrals of the last block with/without weights
-        self._buffers: dict = {}  # the ladder arrays, reused: new ones fault their pages in anew
+        self._buffers: dict = {}  # the ladder arrays per (L, shape), reused: new ones fault anew
 
     def _weights(self, grid: Grid, ts: list):
         if self.weight_mode == "fixed":

@@ -24,6 +24,12 @@ from abcdsim.config import ExperimentConfig, RegionSpec, build_region_axes, pars
 SHIPPED_REGION_MAP = pathlib.Path(__file__).resolve().parent.parent / "configs" / "region_map.ini"
 
 
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _main_slack(a, c):
     return 8.0 * a * c - 3.0 * (a + c) - 2.0
 
@@ -252,6 +258,23 @@ class TestQuadCoeffs:
         npt.assert_allclose(qc.B4, -c * (al + 0.5), rtol=1e-15)
         npt.assert_allclose(qc.D11, 0.5 * (1 + a) * (al + 1) - 0.5, rtol=1e-15)
         npt.assert_allclose(qc.D21, 0.5 * (1 + c) * (1 - al) - 0.5, rtol=1e-15)
+        # the six main coefficients have one home, _main_coeffs, for an array alpha too
+        rng = np.random.default_rng(2)
+        a, c = -10.0 ** rng.uniform(-12.0, 1.5, size=(2, 50, 1))
+        al = np.concatenate((np.arange(-4000, 4001, 40) * 1e-3, [0.5, -0.5, 1.0]))
+        qc = quadratic_coeffs(a, c, al)
+        main = classifier._main_coeffs(a, c, al)
+        assert len(main) == 6
+        for got, want in zip(main, [qc.A2, qc.A3, qc.A4, qc.B2, qc.B3, qc.B4]):
+            _assert_same_bits(got, want)
+        # the window's minimum and min_main share one running minimum, whose order
+        # decides the sign of a zero: -0.0 (A4 at alpha = 1/2), +0.0 (B4 at alpha = -1/2)
+        a, c, alpha = np.array([-1.0, -0.5]), np.array([-0.5, -1.0]), np.array([[0.5], [-0.5]])
+        worst = classifier._min_of(classifier._main_coeffs(a, c, alpha))
+        assert worst[0, 0] == worst[1, 1] == 0.0
+        assert np.signbit(worst[0, 0]) and not np.signbit(worst[1, 1])
+        _assert_same_bits(worst, quadratic_coeffs(a, c, alpha).min_main())
+        assert np.signbit(quadratic_coeffs(-1.0, -0.5, 0.5).min_main())
 
 
 class TestAlphaScan:
@@ -385,15 +408,16 @@ class TestAlphaBracket:
         _assert_matches_full_scan([(-float(a), -float(c)) for a, c in mags], **grid)
 
     def test_evaluates_a_handful_of_grid_points_per_cell(self, monkeypatch):
-        # every coefficient goes through quadratic_coeffs, so counting its alpha
+        # every coefficient goes through _main_coeffs, so counting its alpha
         # values counts the work; a dense scan would be 8001 per cell
         evaluated = []
+        main_coeffs = classifier._main_coeffs
 
         def counting(a, c, alpha):
             evaluated[-1] += np.size(alpha)
-            return quadratic_coeffs(a, c, alpha)
+            return main_coeffs(a, c, alpha)
 
-        monkeypatch.setattr(classifier, "quadratic_coeffs", counting)
+        monkeypatch.setattr(classifier, "_main_coeffs", counting)
         for a, c in _shipped_cells():
             evaluated.append(0)
             find_admissible_alpha(a, c)
@@ -459,15 +483,16 @@ class TestAlphaArraySearch:
             admissible_alphas([-1.0, 0.0], [-1.0, -0.5])
 
     def test_evaluates_a_handful_of_grid_points_per_cell_in_blocks(self, monkeypatch):
-        # every coefficient goes through quadratic_coeffs; the broadcast size of
+        # every coefficient goes through _main_coeffs; the broadcast size of
         # each call is the number of (cell, alpha) pairs it evaluates
         sizes = []
+        main_coeffs = classifier._main_coeffs
 
         def counting(a, c, alpha):
             sizes.append(np.broadcast(a, c, alpha).size)
-            return quadratic_coeffs(a, c, alpha)
+            return main_coeffs(a, c, alpha)
 
-        monkeypatch.setattr(classifier, "quadratic_coeffs", counting)
+        monkeypatch.setattr(classifier, "_main_coeffs", counting)
         cells = _shipped_cells()
         admissible_alphas([a for a, _ in cells], [c for _, c in cells])
         assert sum(sizes) <= 16 * len(cells)

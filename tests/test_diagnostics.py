@@ -573,6 +573,23 @@ class TestBlocks:
         assert eng.series("t").tolist() == [s.t for s in states]
         self._same(eng, eager)
 
+    @pytest.mark.parametrize("bottom", [flat_bottom(), decaying_bump(1e-2, width=2.0, t0=0.0)])
+    def test_a_second_grid_of_the_same_n_gets_its_own_symbols(self, bottom):
+        # the ladder's arrays are kept per shape; its symbols depend on L as well
+        mode = dict(alpha=0.5, weight_mode="fixed", fixed_lambda=5.0)
+        first, second = Grid(40 * np.pi, 256), Grid(20 * np.pi, 256)
+        both = DiagnosticsEngine(self.P, bottom, **mode)
+        for i in range(8):
+            both(_state(first, seed=i, t=0.1 * i))
+        later = [_state(second, seed=10 + i, t=0.1 * i) for i in range(8)]
+        fresh = DiagnosticsEngine(self.P, bottom, **mode)
+        for s in later:
+            both(s)
+            fresh(s)
+        for name in DiagnosticsEngine.COLUMNS:
+            if name != "running_decay_integral":  # it runs on from the first grid's snapshots
+                assert np.array_equal(both.series(name)[8:], fresh.series(name), equal_nan=True), name
+
 
 class TestEngineMatchesPublicFunctions:
     """Every engine field equals, bit for bit, the value rebuilt from the

@@ -321,7 +321,7 @@ class TestTransformBinding:
         engine = DiagnosticsEngine(params, bottom, weight_mode="fixed", fixed_lambda=10.0)
         run(cfg, observer=engine)
         engine.table()
-        padded = [kernels[0]._products[0]] + [work[0] for _, _, work in engine._buffers.values()]
+        padded = [kernels[0]._products[0]] + [work[0] for _, _, work, *_ in engine._buffers.values()]
         # the kernel's, and the ladders' of the three blocks of 16 snapshots and of the last one
         assert len(padded) == 3
         for spectrum in padded:
